@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import kernels
 from repro.core.bounds import neighbor_scale, total_bound
 from repro.core.cpi import cpi, cpi_many
 from repro.exceptions import NotPreprocessedError, ParameterError
@@ -242,7 +243,8 @@ class TPA(PPRMethod):
         The family parts of all ``B`` seeds propagate as one ``(n, B)``
         matrix — ``S`` sparse matmuls total instead of ``S`` SpMVs per
         seed — and the neighbor scaling plus the shared stranger vector
-        are applied with two broadcasts.  Row ``j`` equals
+        are folded into the tiled transposition that produces the
+        C-contiguous ``(B, n)`` result.  Row ``j`` equals
         ``query(seeds[j])`` exactly.
         """
         stranger = self.stranger_vector
@@ -254,14 +256,22 @@ class TPA(PPRMethod):
             start_iteration=0,
             terminal_iteration=self.s_iteration - 1,
             workspace=self._workspace,
-        ).scores.T  # back to the (n, B) iteration layout: contiguous passes
-        # (scale·family + family) + stranger — float addition commutes, so
-        # this matches the single-seed family + neighbor + stranger bit for
-        # bit while allocating one matrix instead of three.
-        result = self._scale * family
-        result += family
-        result += stranger[:, np.newaxis]
-        return result.T
+        ).scores.T  # back to the (n, B) iteration layout
+        scale = self._scale
+
+        def combine(tile, r0, r1, mixed):
+            # (scale·family + family) + stranger — float addition
+            # commutes, so this matches the single-seed family + neighbor
+            # + stranger bit for bit.
+            np.multiply(tile, scale, out=mixed)
+            mixed += tile
+            mixed += stranger[r0:r1, np.newaxis]
+            return mixed
+
+        # One pass, tile by tile, straight into the (B, n) result: every
+        # consumer (ranking, cache, result vectors) reads contiguous
+        # rows, and the only (n, B)-sized allocation is the result.
+        return kernels.rows_from_panel(family, fuse=combine)
 
     def query_seed_set(self, seeds: "list[int] | np.ndarray") -> np.ndarray:
         """Personalized PageRank over a seed *set* (uniform restart mass).

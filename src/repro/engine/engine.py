@@ -760,14 +760,21 @@ class Engine:
             elapsed = time.perf_counter() - begin
             per_query_seconds = elapsed / len(fresh)
             self._online_seconds += elapsed
+            # Rows that outlive this call (full-vector results, cache
+            # entries) must own their memory: a view would pin the whole
+            # (B, n) block for as long as any one row is referenced.
+            outlives = self._score_cache is not None or any(
+                r.k is None for r in requests
+            )
             for row, seed in enumerate(fresh):
                 vector = matrix[row]
                 if self._reordering is not None:
-                    # Back to the caller's node ids: everything below
-                    # (cache, exclusion masks, rankings) runs in the
-                    # original space.
+                    # Back to the caller's node ids (a fresh gather):
+                    # everything below (cache, exclusion masks,
+                    # rankings) runs in the original space.
                     vector = self._reordering.scores_to_original(vector)
-                vector = np.ascontiguousarray(vector)
+                elif outlives or not vector.flags.c_contiguous:
+                    vector = vector.copy()
                 if self._score_cache is not None:
                     self._cache_put(seed, vector, token)
                 scored[seed] = vector

@@ -16,6 +16,9 @@ power-iteration baseline — bottoms out in repeated sparse matrix–vector
   primitives (:mod:`repro.kernels.topk`): batch-parallel bounded-heap
   top-k selection on the Numba backend, the looped ``argpartition``
   reference on NumPy — identical ban and tie semantics;
+* :func:`rows_from_panel` — the cache-blocked ``(n, B)`` → ``(B, n)``
+  transposition that hands iterate panels to the ranking side as
+  contiguous rows;
 * two interchangeable backends (see :mod:`repro.kernels.backend`):
   a Numba-JIT, ``prange``-parallel implementation auto-selected at import
   when Numba is installed, and a pure NumPy/SciPy fallback that is
@@ -34,6 +37,60 @@ Auto-selection prefers Numba when importable.  The NumPy fallback never
 changes results: it calls the very SciPy kernels ``csr_array @ x``
 dispatches to.  The Numba backend accumulates each output row in the same
 stored-index order, and the suite holds it to ``<= 1e-12`` agreement.
+
+Threads: borrowing idle cores (NumPy backend)
+---------------------------------------------
+Thread count is one policy for both backends: :func:`set_num_threads` /
+``REPRO_KERNEL_THREADS`` / ``TuneProfile.kernel_threads``, default the
+cores this process may run on (``sched_getaffinity``); :func:`num_threads`
+reports it.  Numba applies it to its ``prange`` pool.  The NumPy backend
+applies it as a *ceiling*: SciPy's sparsetools and NumPy's
+copy/partition loops release the interpreter lock, so :func:`spmv`,
+:func:`spmm`, :func:`spmm_tiled` and the fallback
+:func:`select_top_k_many` run as contiguous row stripes — balanced by
+nonzeros for the products (degrees are heavy-tailed), by rows for the
+selection — the caller computing the first stripe and a lazily started,
+per-process pool of daemon threads the rest.  Every row is computed by
+the same C loop in the same order, so results are bitwise identical at
+any thread count and :func:`cache_token` does not name it.  A call
+splits only when both hold:
+
+* **the work floor** — its work (``nnz × width`` multiply-adds, or
+  ``rows × n`` ranked elements) is at least ``WORK_FLOOR`` = 2 M, about
+  2 ms on one core; a 20k-node SpMV or a 3-wide batch stays serial;
+* **idle cores** — a call above the floor holds its cores in a
+  process-wide ledger for its duration, and every caller, large or
+  small, keeps one core for ``CORE_LINGER`` = 0.1 s after it was last
+  seen in a kernel (a thread between two kernel calls of one batch is
+  ranking rows or building results, not idle); a call takes
+  ``max(1, threads − cores held by other callers)`` stripes.  Two busy
+  ``Server`` workers on a two-core box therefore each run serially,
+  while one engine thread on the same box gets both cores.  Counting
+  only calls in flight let 25–30 % of a busy two-worker ``Server``'s
+  large calls split — whenever the sibling happened to be between
+  kernels — and its throughput and latency on a mutating graph then
+  spread twice as wide from run to run as the serial build's.
+
+Calls below the floor take the serial path of earlier releases plus one
+dictionary store: on a loaded ``Server`` whose batches each re-preprocess
+(~116 SpMVs of 0.36 ms on a 20k-node mutating graph, 90 % utilisation)
+30 µs of bookkeeping per call was +4.5 % on preprocessing and +10 % on
+the median latency; the store measures at parity.
+
+Measured on the 2-core reference box (float64, 200k nodes / 2.9 M
+edges): the 128-wide SpMM takes 623 → 290 ms on two stripes and the
+SpMV 5.1 → 3.2 ms, bitwise equal; ``Engine.serve`` of one 128-seed
+top-500 block goes from 2.1 to 1.05 s.  Splitting unconditionally
+instead cost the two-worker ``Server`` 17 % of its throughput in the
+prototype of this design; under the idle-core rule it is inside
+run-to-run noise.  The stripe threads are unpinned; the one placement
+aid is that a stripe woken on its caller's CPU leaves it at once
+(Linux does not search small cache domains for an idle sibling on
+wake-up, and without this a 13 ms call at 20k×64 stays at 13 ms instead
+of 8 ms until the periodic balancer separates the threads).
+``set_num_threads(1)`` starts no thread and keeps no ledger — the
+serial execution of earlier releases.  Shard workers cap their count at
+``max(1, cores // num_shards)``.
 
 float32 compute policy (opt-in)
 -------------------------------
@@ -87,6 +144,7 @@ from repro.kernels.tiling import (
     DEFAULT_TILE_ROWS,
     RowTiling,
     row_tiling,
+    rows_from_panel,
     set_tile_rows,
     tile_rows,
 )
@@ -118,6 +176,7 @@ __all__ = [
     "DEFAULT_TILE_ROWS",
     "RowTiling",
     "row_tiling",
+    "rows_from_panel",
     "set_tile_rows",
     "tile_rows",
     "forward_push_loop",

@@ -33,6 +33,7 @@ from types import ModuleType
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.kernels import _numpy_backend
 
 __all__ = [
     "available_backends",
@@ -134,11 +135,13 @@ def _resolve_env_threads() -> int | None:
 
 
 #: Requested kernel thread count; ``None`` means backend default (Numba's
-#: full launch pool).  Deliberately **not** part of :func:`cache_token`:
-#: the kernels are row parallel with a fixed per-row accumulation order,
-#: so results are bitwise identical across thread counts — the test suite
-#: asserts that invariant rather than the token recording the count.
+#: full launch pool; the cores this process may run on for NumPy).
+#: Deliberately **not** part of :func:`cache_token`: the kernels are row
+#: parallel with a fixed per-row accumulation order, so results are
+#: bitwise identical across thread counts — the test suite asserts that
+#: invariant rather than the token recording the count.
 _kernel_threads: int | None = _resolve_env_threads()
+_numpy_backend.set_num_threads(_kernel_threads)
 
 
 def kernel_threads() -> int | None:
@@ -147,13 +150,16 @@ def kernel_threads() -> int | None:
 
 
 def num_threads() -> int:
-    """Thread count the active backend actually runs with.
+    """Thread count the active backend may run one kernel call on.
 
-    The NumPy backend is always 1; the Numba backend reports its live
-    pool size (the configured policy clamped to the pool Numba launched
-    with — the pool cannot grow after import).
+    The NumPy backend reports the configured policy (default: the cores
+    this process may run on) — the ceiling of its row stripes; a call
+    uses fewer when its work is small or other callers hold cores
+    (see :mod:`repro.kernels`).  The Numba backend reports its live pool
+    size (the configured policy clamped to the pool Numba launched with
+    — the pool cannot grow after import).
     """
-    return int(getattr(_backend_module(), "num_threads", 1))
+    return int(_backend_module().num_threads)
 
 
 def set_num_threads(count: int | None) -> int | None:
@@ -162,8 +168,9 @@ def set_num_threads(count: int | None) -> int | None:
     ``count`` must be a positive integer, or ``None``/``"auto"`` to
     restore the backend default.  The policy caps the Numba backend's
     ``prange`` pool (applied immediately when Numba is active, or on
-    first activation otherwise); the single-threaded NumPy backend
-    records but ignores it.  Thread count never changes results — see
+    first activation otherwise) and the NumPy backend's row stripes
+    (``1`` runs every kernel serially on the calling thread and starts
+    no kernel threads).  Thread count never changes results — see
     :data:`_kernel_threads` — so this setting is absent from
     :func:`cache_token` by design.
     """
@@ -178,6 +185,7 @@ def set_num_threads(count: int | None) -> int | None:
                 f"kernel thread count must be positive, got {count}"
             )
         _kernel_threads = count
+    _numpy_backend.set_num_threads(_kernel_threads)
     if _numba_module is not None:
         _numba_module.set_num_threads(_kernel_threads)
     return previous
@@ -323,6 +331,4 @@ def _backend_module() -> ModuleType:
             if _kernel_threads is not None:
                 _numba_module.set_num_threads(_kernel_threads)
         return _numba_module
-    from repro.kernels import _numpy_backend
-
     return _numpy_backend

@@ -13,7 +13,8 @@ this module makes it a kernel like the SpMM:
   of a ``(B, n)`` matrix into a ``(B, k)`` id matrix padded with ``-1``.
   On the Numba backend the rows run ``prange``-parallel with a bounded
   ``k``-element heap per row (no full-row copy, no ``-inf`` masking); the
-  NumPy fallback reproduces the looped :func:`select_top_k` exactly.
+  NumPy fallback reproduces the looped :func:`select_top_k` exactly,
+  over contiguous rows and row-striped across idle cores.
 
 Both forms implement the *same* ordering contract, and the suite holds
 the compiled path to exact agreement with the looped reference
@@ -26,7 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.kernels import _numpy_backend
 from repro.kernels.backend import _backend_module
+from repro.kernels.tiling import rows_from_panel
 
 __all__ = ["select_top_k", "select_top_k_many"]
 
@@ -170,13 +173,26 @@ def select_top_k_many(
         impl(scores, mask, banned is not None, k, out)
         return out
 
-    # NumPy fallback: the looped reference, with one reused masked-copy
-    # scratch for the whole batch instead of an allocation per row.
-    scratch = np.empty(n, dtype=np.float64)
-    for b in range(rows):
-        picks = select_top_k(
-            scores[b], k, None if banned is None else banned[b], scratch=scratch
-        )
-        out[b, : picks.size] = picks
-        out[b, picks.size :] = -1
+    # NumPy fallback: the looped reference over contiguous rows (a
+    # transposed iterate panel would be ranked one strided row at a
+    # time), row-striped across idle cores; each stripe reuses one
+    # masked-copy scratch instead of allocating per row.
+    if scores.T.flags.c_contiguous and not scores.flags.c_contiguous:
+        scores = rows_from_panel(scores.T)
+
+    def rank(stripe):
+        scratch = np.empty(n, dtype=np.float64)
+        for b in range(*stripe):
+            picks = select_top_k(
+                scores[b], k, None if banned is None else banned[b],
+                scratch=scratch,
+            )
+            out[b, : picks.size] = picks
+            out[b, picks.size :] = -1
+
+    def split(stripes):
+        cuts = [rows * s // stripes for s in range(stripes + 1)]
+        return [(b0, b1) for b0, b1 in zip(cuts, cuts[1:]) if b0 < b1]
+
+    _numpy_backend.striped(rows * n, split, rank)
     return out

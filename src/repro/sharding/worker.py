@@ -226,14 +226,19 @@ def shard_worker_main(
         # fork carried over, so only this process's increments ship.
         shipped: dict = {}
         _counter_deltas(registry, shipped)
+        # The kernels must not oversubscribe this worker's share of the
+        # machine — its pinned cores, else an equal split of the cores
+        # among the shards; thread count never changes results (bitwise
+        # contract), only placement.
+        from repro.tune.fingerprint import affinity_cpus
+
+        share = max(1, len(affinity_cpus()) // num_shards)
         if pin_cpus:
             from repro.tune.pinning import pin_current
 
             if pin_current(pin_cpus):
-                # The kernels should not oversubscribe the worker's own
-                # cores; thread count never changes results (bitwise
-                # contract), only placement.
-                kernels.set_num_threads(len(pin_cpus))
+                share = len(pin_cpus)
+        kernels.set_num_threads(min(kernels.num_threads(), share))
         bind(payload, segments)
         conn.send(("ready", 0, shard))
         while True:

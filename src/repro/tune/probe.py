@@ -8,9 +8,9 @@ kernels it gates —
 * ``spmm`` across a grid of operand widths → ``stream_block`` (and the
   scheduler's ``max_batch``/``max_wait_ms``, which bound how wide a
   micro-batch can grow and how long coalescing may stall it);
-* ``spmm`` across a thread-count grid (Numba backend only) →
-  ``kernels.set_num_threads`` — thread counts never change results, so
-  the grid only trades wall-clock;
+* ``spmm`` across a thread-count grid → ``kernels.set_num_threads`` —
+  thread counts never change results, so the grid only trades
+  wall-clock;
 * ``spmv`` and ``select_top_k_many`` once each, recorded for the
   trajectory (they share the SpMM's winning configuration).
 
@@ -105,9 +105,9 @@ def probe_measurements(
 
     ``graph`` is the live serving graph (``None`` builds a synthetic
     community graph of ``nodes``/``avg_degree``).  All timings are
-    best-of-``repeats`` seconds.  The thread grid runs only on the Numba
-    backend and always restores the prior thread policy — probing must
-    not leave the process reconfigured.
+    best-of-``repeats`` seconds.  The thread grid always restores the
+    prior thread policy — probing must not leave the process
+    reconfigured.
     """
     from repro.tune.fingerprint import machine_fingerprint
 
@@ -167,23 +167,22 @@ def probe_measurements(
     )
 
     threads: dict[int, float] = {}
-    if kernels.get_backend() == "numba":
-        if thread_grid is None:
-            thread_grid = _thread_grid(fingerprint)
-        previous = kernels.kernel_threads()
-        try:
-            for count in thread_grid:
-                kernels.set_num_threads(int(count))
-                applied = kernels.num_threads()
-                if applied in threads:  # clamped duplicates collapse
-                    continue
-                kernels.spmm(operator, tile_x, out=tile_out)
-                threads[applied] = _best_of(
-                    lambda: kernels.spmm(operator, tile_x, out=tile_out),
-                    repeats,
-                )
-        finally:
-            kernels.set_num_threads(previous)
+    if thread_grid is None:
+        thread_grid = _thread_grid(fingerprint)
+    previous = kernels.kernel_threads()
+    try:
+        for count in thread_grid:
+            kernels.set_num_threads(int(count))
+            applied = kernels.num_threads()
+            if applied in threads:  # clamped duplicates collapse
+                continue
+            kernels.spmm(operator, tile_x, out=tile_out)
+            threads[applied] = _best_of(
+                lambda: kernels.spmm(operator, tile_x, out=tile_out),
+                repeats,
+            )
+    finally:
+        kernels.set_num_threads(previous)
 
     return {
         "graph": {

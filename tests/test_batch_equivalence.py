@@ -212,3 +212,94 @@ class TestSeedNormalization:
             cpi_many(small_community, [1.9])
         with pytest.raises(ParameterError, match="integer"):
             cpi_many(small_community, np.array([True, False]))
+
+
+class TestServedRowsOwnTheirMemory:
+    """TPA hands the engine one C-contiguous ``(B, n)`` block.  Rows that
+    outlive the call must be copies (a view would pin the whole block),
+    and every serving surface must still reproduce the serial
+    single-seed online phase bit for bit."""
+
+    K = 10
+
+    @pytest.fixture
+    def striped(self, monkeypatch):
+        # Lift the work floor so the fixture-sized kernels really split.
+        from repro.kernels import _numpy_backend
+
+        monkeypatch.setattr(_numpy_backend, "WORK_FLOOR", 0)
+
+    @pytest.fixture(scope="class")
+    def serial(self, small_community):
+        """Per-seed scores and rankings from the single-seed path on one
+        kernel thread — the execution every release before the stripes
+        had."""
+        from repro import kernels
+
+        previous = kernels.set_num_threads(1)
+        try:
+            method = _make("tpa")
+            method.preprocess(small_community)
+            scores = {int(s): method.query(int(s)) for s in set(SEEDS.tolist())}
+        finally:
+            kernels.set_num_threads(previous)
+        top = {}
+        for seed, vector in scores.items():
+            banned = np.zeros(vector.size, dtype=bool)
+            banned[seed] = True
+            top[seed] = select_top_k(vector, self.K, banned)
+        return scores, top
+
+    def test_query_many_block_is_contiguous(self, small_community):
+        method = _make("tpa")
+        method.preprocess(small_community)
+        block = method.query_many(SEEDS)
+        assert block.flags.c_contiguous and block.flags.owndata
+
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    def test_full_vector_results_do_not_pin_the_block(
+        self, small_community, serial, cache_size
+    ):
+        from repro.engine import Engine, QueryRequest
+
+        engine = Engine(_make("tpa"), small_community, cache_size=cache_size)
+        results = engine.batch([QueryRequest(seed=int(s)) for s in SEEDS])
+        for result in results:
+            assert result.scores.base is None
+            assert result.scores.nbytes == 8 * small_community.num_nodes
+            np.testing.assert_array_equal(
+                result.scores, serial[0][result.seed]
+            )
+        if cache_size:
+            for seed in set(SEEDS.tolist()):
+                entry = engine.cache.get(seed)
+                assert entry is not None and entry.base is None
+
+    def test_every_surface_matches_the_serial_reference(
+        self, small_community, serial, striped
+    ):
+        from repro.engine import Engine, QueryRequest
+        from repro.serving import Server
+        from repro.sharding import Router
+
+        scores, top = serial
+        requests = [QueryRequest(seed=int(s), k=self.K) for s in SEEDS]
+
+        def check(results):
+            for result in results:
+                np.testing.assert_array_equal(
+                    result.top_nodes, top[result.seed]
+                )
+                np.testing.assert_array_equal(
+                    result.top_scores, scores[result.seed][top[result.seed]]
+                )
+
+        engine = Engine(_make("tpa"), small_community)
+        check(engine.batch(requests))
+        served = engine.serve(SEEDS, self.K)
+        for row, seed in zip(served, SEEDS.tolist()):
+            np.testing.assert_array_equal(row, top[seed])
+        with Server(_make("tpa"), small_community, workers=2) as server:
+            check(server.batch(requests))
+        with Router(_make("tpa"), small_community, num_shards=2) as router:
+            check(router.batch(requests))

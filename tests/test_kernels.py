@@ -14,6 +14,9 @@ accounting, the Engine's dtype/backend-aware LRU key, and the SlashBurn
 locality reordering fast path.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -525,3 +528,236 @@ class TestLocalityReordering:
         assert engine.graph is medium_community
         assert engine.reordering is not None
         assert engine.method.graph is engine.reordering.graph
+
+
+def _fork_child(conn, operator, operand):
+    """Body of the forked child: an above-floor product on its own pool."""
+    from repro.kernels import _numpy_backend
+
+    product = kernels.spmm(operator, operand)
+    conn.send((product, _numpy_backend._cores._workers,
+               _numpy_backend._cores.held))
+    conn.close()
+
+
+class TestStripePool:
+    """Lifecycle and concurrency of the NumPy backend's stripe threads:
+    fork and spawn safety, the idle-core ledger, failure propagation,
+    and a clean shutdown.  Every test runs under a hard alarm so a hang
+    fails instead of stalling the suite."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_two_threads(self):
+        import signal
+
+        from repro.kernels import _numpy_backend
+
+        def expired(signum, frame):
+            raise TimeoutError("stripe-pool test exceeded its hard timeout")
+
+        handler = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(120)
+        kernels.set_backend("numpy")
+        threads = kernels.set_num_threads(2)
+        try:
+            yield _numpy_backend
+        finally:
+            kernels.set_num_threads(threads)
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+
+    @pytest.fixture(scope="class")
+    def above_floor(self):
+        """An operator and a 64-wide operand whose product (2.3 M
+        multiply-adds) is above the work floor, plus the reference."""
+        graph = community_graph(3000, avg_degree=12, num_communities=6, seed=2)
+        operator = graph.decayed_operator(0.85)
+        operand = np.random.default_rng(1).random((graph.num_nodes, 64))
+        return operator, operand, operator @ operand
+
+    def test_above_floor_call_splits_below_floor_does_not(
+        self, _numpy_two_threads, above_floor, monkeypatch
+    ):
+        backend_module = _numpy_two_threads
+        operator, operand, reference = above_floor
+        assert operator.nnz * 64 >= backend_module.WORK_FLOOR
+        monkeypatch.setattr(backend_module, "_cores", backend_module._Cores())
+        kernels.spmm(operator, operand[:, :8].copy())  # 0.3 M: serial
+        assert backend_module._cores._workers == 0
+        np.testing.assert_array_equal(kernels.spmm(operator, operand), reference)
+        assert backend_module._cores._workers == 1
+        assert backend_module._cores.held == 0
+
+    def test_one_thread_starts_no_pool(
+        self, _numpy_two_threads, above_floor, monkeypatch
+    ):
+        backend_module = _numpy_two_threads
+        operator, operand, reference = above_floor
+        monkeypatch.setattr(backend_module, "_cores", backend_module._Cores())
+        kernels.set_num_threads(1)
+        np.testing.assert_array_equal(kernels.spmm(operator, operand), reference)
+        assert backend_module._cores._workers == 0
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs"
+    )
+    def test_woken_stripe_leaves_the_callers_cpu(self, _numpy_two_threads):
+        backend_module = _numpy_two_threads
+        allowed = os.sched_getaffinity(0)
+        here = backend_module._getcpu()
+        backend_module._leave(here)
+        assert backend_module._getcpu() != here
+        assert os.sched_getaffinity(0) == allowed  # free to move again
+
+    def test_forked_child_gets_a_fresh_pool(self, above_floor):
+        import multiprocessing
+
+        operator, operand, reference = above_floor
+        kernels.spmm(operator, operand)  # the parent's pool is live
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(
+            target=_fork_child, args=(sender, operator, operand)
+        )
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "forked child never answered"
+            product, workers, held = receiver.recv()
+        finally:
+            child.join(30)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        np.testing.assert_array_equal(product, reference)
+        assert workers == 1 and held == 0
+
+    def test_spawned_shard_workers_match_serial(self):
+        graph = community_graph(6000, avg_degree=12, num_communities=8, seed=4)
+        engine = Engine(CPIMethod(tol=1e-4), graph)
+        seeds = np.arange(0, 6000, 94)  # 64 seeds: 2.3 M per shard stripe
+        serial = engine.serve(seeds, k=10)
+        with engine.shard(num_shards=2, start_method="spawn") as sharded:
+            np.testing.assert_array_equal(sharded.serve(seeds, k=10), serial)
+
+    def test_concurrent_callers_share_the_cores(
+        self, _numpy_two_threads, above_floor, monkeypatch
+    ):
+        import threading
+
+        backend_module = _numpy_two_threads
+        operator, operand, reference = above_floor
+        cores = backend_module._Cores()
+        monkeypatch.setattr(backend_module, "_cores", cores)
+        claim = cores.claim
+        granted, peak = [], []
+
+        def recording_claim():
+            stripes = claim()
+            granted.append(stripes)
+            peak.append(cores.held)
+            return stripes
+
+        monkeypatch.setattr(cores, "claim", recording_claim)
+        results, failures = {}, []
+
+        def caller(slot):
+            try:
+                for _ in range(40):
+                    results[slot] = kernels.spmm(operator, operand)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(target=caller, args=(slot,), daemon=True)
+                for slot in range(2)
+            ]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert not failures
+        for product in results.values():
+            np.testing.assert_array_equal(product, reference)
+        # A call never takes more than the ceiling, and a second caller
+        # only ever adds its own thread on top of it.
+        assert max(granted) <= 2 and min(granted) >= 1
+        assert max(peak) <= kernels.num_threads() + 1
+        assert cores._workers <= kernels.num_threads() - 1
+        assert cores.held == 0
+
+    def test_caller_keeps_its_core_between_kernel_calls(
+        self, _numpy_two_threads, monkeypatch
+    ):
+        import threading
+
+        backend_module = _numpy_two_threads
+        cores = backend_module._Cores()
+        other = threading.Thread(target=cores.touch, daemon=True)
+        other.start()  # a small kernel call on another thread
+        other.join(30)
+        # That thread is between two kernel calls, not idle ...
+        monkeypatch.setattr(backend_module, "CORE_LINGER", 3600.0)
+        assert cores.claim() == 1
+        cores.release(1)
+        # ... until it has stayed away for the linger time.
+        monkeypatch.setattr(backend_module, "CORE_LINGER", 0.0)
+        assert cores.claim() == 2
+        cores.release(2)
+        assert cores.held == 0
+        # A caller's own last call never counts against it.
+        alone = backend_module._Cores()
+        monkeypatch.setattr(backend_module, "CORE_LINGER", 3600.0)
+        alone.touch()
+        assert alone.claim() == 2
+        alone.release(2)
+        assert alone.claim() == 2
+
+    @pytest.mark.parametrize("failing", ["caller stripe", "pool stripe"])
+    def test_stripe_failure_propagates_and_frees_cores(
+        self, _numpy_two_threads, above_floor, monkeypatch, failing
+    ):
+        backend_module = _numpy_two_threads
+        operator, operand, reference = above_floor
+        tile = backend_module._tile
+
+        def broken(matrix, x, out, r0, r1):
+            if (r0 == 0) == (failing == "caller stripe"):
+                raise RuntimeError(f"boom in the {failing}")
+            tile(matrix, x, out, r0, r1)
+
+        monkeypatch.setattr(backend_module, "_tile", broken)
+        with pytest.raises(RuntimeError, match=failing):
+            kernels.spmm(operator, operand)
+        assert backend_module._cores.held == 0
+        monkeypatch.setattr(backend_module, "_tile", tile)
+        np.testing.assert_array_equal(kernels.spmm(operator, operand), reference)
+
+    def test_router_close_leaves_nothing_behind(
+        self, _numpy_two_threads, small_community, monkeypatch
+    ):
+        import glob
+        import threading
+
+        from repro.engine import QueryRequest
+        from repro.sharding import Router
+
+        monkeypatch.setattr(_numpy_two_threads, "WORK_FLOOR", 0)
+        method = create_method("tpa", s_iteration=4, t_iteration=8)
+        with Router(method, small_community, num_shards=2) as router:
+            answers = router.batch(
+                [QueryRequest(seed=seed, k=5) for seed in range(8)]
+            )
+        assert len(answers) == 8
+        assert not glob.glob(f"/dev/shm/repro-shm-{os.getpid()}-*")
+        lingering = [
+            thread.name for thread in threading.enumerate()
+            if thread is not threading.main_thread() and not thread.daemon
+        ]
+        assert not lingering

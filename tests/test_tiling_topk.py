@@ -126,6 +126,37 @@ class TestRowTiling:
             assert tiling_module._resolve_env_tile() is None
 
 
+class TestRowsFromPanel:
+    """The cache-blocked ``(n, B)`` → ``(B, n)`` transposition copies
+    values exactly, whatever the tile height divides into."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 3), (20_001, 1), (5_000, 64), (300, 2_000)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_contiguous_transpose(self, shape, dtype):
+        panel = np.random.default_rng(0).random(shape).astype(dtype)
+        rows = kernels.rows_from_panel(panel)
+        assert rows.flags.c_contiguous and rows.dtype == dtype
+        np.testing.assert_array_equal(rows, panel.T)
+
+    def test_fused_epilogue_sees_every_row_once(self):
+        panel = np.random.default_rng(1).random((5_000, 48))
+        shift = np.arange(5_000, dtype=np.float64)
+        seen = []
+
+        def fuse(tile, r0, r1, scratch):
+            seen.append((r0, r1))
+            assert scratch.shape == tile.shape
+            np.add(tile, shift[r0:r1, np.newaxis], out=scratch)
+            return scratch
+
+        rows = kernels.rows_from_panel(panel, fuse=fuse)
+        np.testing.assert_array_equal(rows, (panel + shift[:, None]).T)
+        assert seen[0][0] == 0 and seen[-1][1] == 5_000
+        assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+
+
 class TestTiledSpmmNumpyBitwise:
     """Tiled == untiled, bit for bit, on the fallback backend."""
 

@@ -23,6 +23,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     Engine,
@@ -138,6 +140,23 @@ class TestProbe:
         assert set(result["spmm_block_seconds"]) == {"16", "32"}
         assert set(result["spmm_tile_seconds"]) == {"1024"}
         assert all(v > 0 for v in result["spmm_block_seconds"].values())
+
+    def test_thread_sweep_runs_on_every_backend(self, probe_graph):
+        two_cores = _fingerprint(
+            cpu_count=2, affinity=(0, 1), numa={0: (0, 1)}
+        )
+        before = kernels.kernel_threads()
+        result = probe_measurements(
+            probe_graph, tile_grid=(1024,), block_grid=(16,), repeats=1,
+            fingerprint=two_cores,
+        )
+        sweep = result["spmm_thread_seconds"]
+        assert sweep and set(sweep) <= {"1", "2"}
+        assert all(seconds > 0 for seconds in sweep.values())
+        assert kernels.kernel_threads() == before  # policy restored
+        profile = derive_profile(two_cores, result, 0.0)
+        # 2 cores over 2 shards: the per-shard share clamps the pick.
+        assert profile.kernel_threads == 1
 
     def test_synthetic_graph_when_none_given(self):
         result = probe_measurements(
@@ -337,6 +356,22 @@ class TestServingWithTune:
 
 
 class TestKernelThreadKnob:
+    def test_profile_apply_round_trips_on_numpy(self):
+        previous = kernels.set_backend("numpy")
+        try:
+            for count in (1, 3):
+                profile = derive_profile(
+                    _fingerprint(),
+                    _measurements(spmm_thread_seconds={str(count): 1.0}),
+                    1.0,
+                )
+                assert profile.apply()["kernel_threads"] == count
+                assert kernels.num_threads() == count
+            kernels.set_num_threads(None)
+            assert kernels.num_threads() == len(os.sched_getaffinity(0))
+        finally:
+            kernels.set_backend(previous)
+
     def test_set_and_reset(self):
         previous = kernels.set_num_threads(1)
         try:
@@ -372,50 +407,165 @@ class TestKernelThreadKnob:
         assert token_one == kernels.cache_token()
 
 
-@pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-class TestThreadCountBitwiseInvariance:
-    def test_spmm_identical_across_thread_counts(self, probe_graph):
-        previous_backend = kernels.get_backend()
-        kernels.set_backend("numba")
-        try:
-            operator = probe_graph.decayed_operator(1.0)
-            rng = np.random.default_rng(3)
-            mat = rng.random((probe_graph.num_nodes, 16))
-            kernels.set_num_threads(1)
-            one = kernels.spmm(operator, mat)
-            vec_one = kernels.spmv(operator, mat[:, 0].copy())
-            kernels.set_num_threads(2)
-            many = kernels.spmm(operator, mat)
-            vec_many = kernels.spmv(operator, mat[:, 0].copy())
-        finally:
-            kernels.set_num_threads(None)
-            kernels.set_backend(previous_backend)
-        np.testing.assert_array_equal(one, many)
-        np.testing.assert_array_equal(vec_one, vec_many)
+_THREAD_COUNTS = (1, 2, 3, 8)
 
-    def test_engine_results_identical_across_thread_counts(self, probe_graph):
-        previous_backend = kernels.get_backend()
-        kernels.set_backend("numba")
-        try:
-            seeds = np.arange(24)
-            kernels.set_num_threads(1)
-            engine_one = Engine(
+
+def _hub_matrix(rows: int, cols: int, rng) -> sp.csr_array:
+    """Row 0 holds ~90% of the nonzeros (so nnz-balanced cuts coincide
+    and leave an all-empty stripe between them), every third row is
+    empty, and the tail rows are all empty."""
+    dense = np.zeros((rows, cols))
+    dense[0] = rng.standard_normal(cols)
+    for row in range(1, rows - 3):
+        if row % 3:
+            dense[row, rng.integers(0, cols)] = rng.standard_normal()
+    return sp.csr_array(dense)
+
+
+@pytest.mark.parametrize("backend_name", kernels.available_backends())
+class TestThreadCountBitwiseInvariance:
+    """Results are bitwise identical at every thread count, on every
+    backend installed — the invariant that keeps the count out of
+    ``cache_token``.  The NumPy backend's work floor is lifted so the
+    small fixtures actually split into stripes."""
+
+    @pytest.fixture(autouse=True)
+    def _backend(self, backend_name, monkeypatch):
+        from repro.kernels import _numpy_backend
+
+        monkeypatch.setattr(_numpy_backend, "WORK_FLOOR", 0)
+        previous = kernels.set_backend(backend_name)
+        dtype = kernels.compute_dtype()
+        yield
+        kernels.set_compute_dtype(dtype)
+        kernels.set_backend(previous)
+
+    @staticmethod
+    def _at_each_count(compute):
+        results = []
+        for count in _THREAD_COUNTS:
+            kernels.set_num_threads(count)
+            results.append(compute())
+        return results
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_products_identical_across_thread_counts(self, probe_graph, dtype):
+        operator = probe_graph.decayed_operator(0.85, dtype=dtype)
+        n = probe_graph.num_nodes
+        rng = np.random.default_rng(3)
+        mat = rng.random((n, 16)).astype(dtype)
+        vec = np.ascontiguousarray(mat[:, 0])
+        tiling = kernels.row_tiling(n, tile_height=96)
+
+        def compute():
+            supplied = np.full((n, 16), np.nan, dtype=dtype)
+            assert kernels.spmm(operator, mat, out=supplied) is supplied
+            return (
+                kernels.spmv(operator, vec),
+                kernels.spmm(operator, mat),
+                supplied,
+                kernels.spmm_tiled(operator, mat, tiling=tiling),
+            )
+
+        first, *rest = self._at_each_count(compute)
+        assert all(result.dtype == dtype for result in first)
+        if kernels.get_backend() == "numpy":
+            np.testing.assert_array_equal(first[0], operator @ vec)
+            np.testing.assert_array_equal(first[1], operator @ mat)
+        for other in rest:
+            for got, want in zip(other, first):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 40])
+    def test_degenerate_row_layouts(self, rows):
+        # Fewer rows than threads, rows without nonzeros, stripes that
+        # come out empty, an all-zero operator.
+        rng = np.random.default_rng(rows)
+        for matrix in (
+            _hub_matrix(rows, 30, rng),
+            sp.csr_array((rows, 30), dtype=np.float64),
+        ):
+            mat = rng.random((30, 4))
+            tiling = kernels.row_tiling(rows, tile_height=2)
+
+            def compute():
+                return (
+                    kernels.spmv(matrix, mat[:, 0].copy()),
+                    kernels.spmm(matrix, mat),
+                    kernels.spmm_tiled(matrix, mat, tiling=tiling),
+                )
+
+            first, *rest = self._at_each_count(compute)
+            np.testing.assert_allclose(first[1], matrix @ mat, atol=1e-12)
+            for other in rest:
+                for got, want in zip(other, first):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("layout", ["rows", "panel"])
+    def test_selection_identical_across_thread_counts(self, layout):
+        rng = np.random.default_rng(9)
+        scores = rng.random((5, 300)).round(2)  # rounding forces ties
+        if layout == "panel":  # the transposed view iterate loops return
+            scores = np.ascontiguousarray(scores.T).T
+        banned = rng.random((5, 300)) < 0.1
+
+        def compute():
+            supplied = np.empty((5, 7), dtype=np.int64)
+            kernels.select_top_k_many(scores, 7, banned=banned, out=supplied)
+            return supplied, kernels.select_top_k_many(scores, 400)
+
+        first, *rest = self._at_each_count(compute)
+        for row in range(5):
+            np.testing.assert_array_equal(
+                first[0][row],
+                kernels.select_top_k(scores[row], 7, banned[row]),
+            )
+        for other in rest:
+            for got, want in zip(other, first):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_engine_results_identical_across_thread_counts(
+        self, probe_graph, dtype
+    ):
+        kernels.set_compute_dtype(dtype)
+        seeds = np.arange(24)
+        requests = [QueryRequest(seed=int(s)) for s in seeds[:6]]
+
+        def compute():
+            engine = Engine(
                 create_method("tpa", s_iteration=4, t_iteration=8),
                 probe_graph,
             )
-            one = engine_one.serve(seeds, k=10)
-            kernels.set_num_threads(2)
-            engine_many = Engine(
-                create_method("tpa", s_iteration=4, t_iteration=8),
-                probe_graph,
-            )
-            many = engine_many.serve(seeds, k=10)
-        finally:
-            kernels.set_num_threads(None)
-            kernels.set_backend(previous_backend)
-        np.testing.assert_array_equal(one, many)
+            full = np.stack([r.scores for r in engine.batch(requests)])
+            return engine.serve(seeds, k=10), full
+
+        first, *rest = self._at_each_count(compute)
+        for other in rest:
+            for got, want in zip(other, first):
+                np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(
+        rows=st.integers(1, 24), cols=st.integers(1, 24),
+        width=st.integers(1, 5), density=st.floats(0.0, 0.6),
+        threads=st.sampled_from(_THREAD_COUNTS), seed=st.integers(0, 2**16),
+    )
+    def test_spmm_matches_operator_product(
+        self, rows, cols, width, density, threads, seed
+    ):
+        rng = np.random.default_rng(seed)
+        matrix = sp.csr_array(sp.random_array(
+            (rows, cols), density=density, format="csr", rng=rng,
+        ))
+        mat = rng.standard_normal((cols, width))
+        kernels.set_num_threads(threads)
+        got = kernels.spmm(matrix, mat)
+        if kernels.get_backend() == "numpy":
+            np.testing.assert_array_equal(got, matrix @ mat)
+        else:
+            np.testing.assert_allclose(got, matrix @ mat, atol=1e-12)
 
 
 class TestPinnedBitwiseInvariance:
