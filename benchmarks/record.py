@@ -11,15 +11,14 @@ appends a single JSON object — one line per run — to
     python benchmarks/record.py --nodes 50000 --batch 128
     REPRO_KERNEL=numpy python benchmarks/record.py   # record the fallback
 
-Each entry carries the commit, backend, compute dtype, tile height,
-graph size, the machine fingerprint
+Each entry carries the commit, backend, compute dtype, graph size,
+the machine fingerprint
 (:func:`repro.tune.machine_fingerprint` — CPU model, core/NUMA
 topology, cgroup quota, library versions), and wall-times, so the perf
 trajectory of the kernel layer is diffable across commits: filter to
 matching ``backend``/``graph``/``machine`` fields and compare ``queries_per_second_batched`` (end to end),
 ``spmm_seconds``/``spmv_seconds`` (kernel level),
-``spmm_tiled_seconds`` vs ``spmm_reordered_seconds`` (the hub-aware
-tiled schedule against the untiled product on the same
+``spmm_reordered_seconds`` (the same product on the
 SlashBurn-reordered operator), or
 ``topk_queries_per_second_fused`` vs
 ``topk_queries_per_second_materialized`` (the streamed
@@ -132,21 +131,12 @@ def measure(nodes: int, avg_degree: int, batch: int, repeats: int) -> dict:
         lambda: kernels.spmm(operator_cast, mat, out=mat_out), repeats
     )
 
-    # Tiled vs untiled on the SlashBurn-reordered operator: same rows,
-    # same arithmetic, different execution schedule.
+    # The same product on the SlashBurn-reordered operator.
     reordering = kernels.locality_reordering(graph)
-    tiling = reordering.spmm_tiling()
     operator_reordered = reordering.graph.decayed_operator(1.0, dtype=dtype)
     kernels.spmm(operator_reordered, mat, out=mat_out)  # warm-up
-    kernels.spmm_tiled(operator_reordered, mat, out=mat_out, tiling=tiling)
     spmm_reordered_seconds = _best_of(
         lambda: kernels.spmm(operator_reordered, mat, out=mat_out), repeats
-    )
-    spmm_tiled_seconds = _best_of(
-        lambda: kernels.spmm_tiled(
-            operator_reordered, mat, out=mat_out, tiling=tiling
-        ),
-        repeats,
     )
 
     method = TPA(s_iteration=5, t_iteration=10)
@@ -276,13 +266,10 @@ def measure(nodes: int, avg_degree: int, batch: int, repeats: int) -> dict:
             "avg_degree": avg_degree,
         },
         "batch": int(batch),
-        "tile_height": int(tiling.tile_height),
         "num_hubs": int(reordering.num_hubs),
         "spmv_seconds": spmv_seconds,
         "spmm_seconds": spmm_seconds,
         "spmm_reordered_seconds": spmm_reordered_seconds,
-        "spmm_tiled_seconds": spmm_tiled_seconds,
-        "tiled_over_untiled_speedup": spmm_reordered_seconds / spmm_tiled_seconds,
         "preprocess_seconds": preprocess_seconds,
         "queries_per_second_batched": batch / batched_seconds,
         "queries_per_second_looped": batch / looped_seconds,
@@ -351,18 +338,12 @@ def main(argv: list[str] | None = None) -> int:
         help="kernel backend to measure (default: auto-selected)",
     )
     parser.add_argument(
-        "--tile", type=int, default=None,
-        help="spoke-tile height in rows (default: REPRO_KERNEL_TILE or auto)",
-    )
-    parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT,
         help=f"JSON-lines file to append to (default {DEFAULT_OUTPUT})",
     )
     args = parser.parse_args(argv)
 
     kernels.set_backend(None if args.backend == "auto" else args.backend)
-    if args.tile is not None:
-        kernels.set_tile_rows(args.tile)
     entry = measure(args.nodes, args.avg_degree, args.batch, args.repeats)
 
     with open(args.output, "a", encoding="utf-8") as handle:

@@ -50,9 +50,7 @@ traffic for an L1 error below ``~1e-5`` on the bundled graphs (see the
 LRU cache keys on ``kernels.cache_token()``, so switching backend or
 dtype mid-serve never replays a stale vector.  ``Engine(...,
 reorder="slashburn")`` additionally relabels the graph into SlashBurn
-hub/spoke order and attaches a hub-aligned row tiling
-(``REPRO_KERNEL_TILE`` / :func:`repro.kernels.set_tile_rows`) so every
-blocked SpMM runs a cache-friendly tiled schedule, translating node ids
+hub/spoke order so each CSR row's gathers cluster, translating node ids
 at the API boundary.  Top-k serving streams in column blocks with the
 compiled :func:`repro.kernels.select_top_k_many` selection fused into
 the block loop — the full ``n x batch`` score matrix never

@@ -655,7 +655,6 @@ def _command_tune(args: argparse.Namespace) -> int:
           f"{'cached' if cached is not None else 'measured'} "
           f"({tune.cache_path(fingerprint)})")
     print(f"probe seconds   {profile.probe_seconds:.2f}")
-    print(f"tile_rows       {profile.tile_rows}")
     print(f"stream_block    {profile.stream_block}")
     print(f"kernel_threads  {profile.kernel_threads}")
     print(f"workers         {profile.workers}")

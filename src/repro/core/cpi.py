@@ -218,7 +218,6 @@ def cpi(
         )
 
     q = seed_vector(graph, seeds)
-    use_decayed = hasattr(graph, "propagate_decayed")
     if x0 is None:
         x = c * q
         scores = np.zeros_like(x)
@@ -228,10 +227,7 @@ def cpi(
             raise ParameterError(
                 f"x0 must have shape {q.shape}, got {x0.shape}"
             )
-        if use_decayed:
-            x = graph.propagate_decayed(x0, 1.0 - c)
-        else:
-            x = (1.0 - c) * graph.propagate(x0)
+        x = graph.propagate_decayed(x0, 1.0 - c)
         x += c * q
         x -= x0
         scores = x0.copy()
@@ -246,7 +242,7 @@ def cpi(
 
     buffers = (
         workspace.pair("cpi.vec", x.shape, x.dtype)
-        if workspace is not None and use_decayed
+        if workspace is not None
         else None
     )
 
@@ -259,14 +255,11 @@ def cpi(
                 f"(residual {residual:.3e}, tol {tol:.3e})"
             )
         iteration += 1
-        if use_decayed:
-            # Alternating workspace buffers: `out` is never the buffer `x`
-            # currently occupies (x starts outside the pair and then hops
-            # between the two).
-            out = buffers[iteration % 2] if buffers is not None else None
-            x = graph.propagate_decayed(x, 1.0 - c, out=out)
-        else:  # duck-typed substrates that only offer the plain operator
-            x = (1.0 - c) * graph.propagate(x)
+        # Alternating workspace buffers: `out` is never the buffer `x`
+        # currently occupies (x starts outside the pair and then hops
+        # between the two).
+        out = buffers[iteration % 2] if buffers is not None else None
+        x = graph.propagate_decayed(x, 1.0 - c, out=out)
         if iteration >= start_iteration:
             scores += x
         residual = float(np.abs(x).sum())
@@ -699,12 +692,8 @@ def _cpi_many_warm(
             f"got {x0.shape}"
         )
     x0 = np.ascontiguousarray(x0, dtype=dtype)
-    use_decayed = hasattr(graph, "propagate_decayed")
     # Richardson residual r = c·Q + (1-c)·Ã^T x0 - x0 (see cpi's notes).
-    if use_decayed:
-        x = graph.propagate_decayed(x0, decay)
-    else:
-        x = decay * graph.propagate(x0)
+    x = graph.propagate_decayed(x0, decay)
     x[seeds_arr, np.arange(batch)] += c
     x -= x0
     scores = x0.copy()
@@ -717,7 +706,7 @@ def _cpi_many_warm(
         x[:, converged] = 0.0
     buffers = (
         workspace.pair("cpi.warm", x.shape, x.dtype)
-        if workspace is not None and use_decayed
+        if workspace is not None
         else None
     )
     while not converged.all():
@@ -728,13 +717,10 @@ def _cpi_many_warm(
                 f"{float(residual.max()):.3e}, tol {tol:.3e})"
             )
         iteration += 1
-        if use_decayed:
-            out = buffers[iteration % 2] if buffers is not None else None
-            if out is x:  # pragma: no cover - defensive
-                out = None
-            x = graph.propagate_decayed(x, decay, out=out)
-        else:
-            x = decay * graph.propagate(x)
+        out = buffers[iteration % 2] if buffers is not None else None
+        if out is x:  # pragma: no cover - defensive
+            out = None
+        x = graph.propagate_decayed(x, decay, out=out)
         scores += x
         live = np.abs(x).sum(axis=0)
         residual = np.where(converged, residual, live)
@@ -855,10 +841,9 @@ def cpi_parts(
     neighbor = np.zeros_like(x)
     stranger = np.zeros_like(x)
 
-    use_decayed = hasattr(graph, "propagate_decayed")
     buffers = (
         workspace.pair("cpi.parts", x.shape, x.dtype)
-        if workspace is not None and use_decayed
+        if workspace is not None
         else None
     )
 
@@ -870,11 +855,8 @@ def cpi_parts(
                 f"cpi_parts did not converge within {max_iterations} iterations"
             )
         iteration += 1
-        if use_decayed:
-            out = buffers[iteration % 2] if buffers is not None else None
-            x = graph.propagate_decayed(x, 1.0 - c, out=out)
-        else:
-            x = (1.0 - c) * graph.propagate(x)
+        out = buffers[iteration % 2] if buffers is not None else None
+        x = graph.propagate_decayed(x, 1.0 - c, out=out)
         if iteration < s_iteration:
             family += x
         elif iteration < t_iteration:
@@ -900,13 +882,9 @@ def cpi_iterates(
     _validate(c, 1e-300, 0)
     x = c * seed_vector(graph, seeds)
     yield x.copy()
-    use_decayed = hasattr(graph, "propagate_decayed")
-    buffers = (x.copy(), np.empty_like(x)) if use_decayed else None
+    buffers = (x.copy(), np.empty_like(x))
     for index in range(max_iterations):
-        if use_decayed:
-            # The yielded copies decouple consumers from the two
-            # alternating iterate buffers reused here.
-            x = graph.propagate_decayed(x, 1.0 - c, out=buffers[index % 2])
-        else:
-            x = (1.0 - c) * graph.propagate(x)
+        # The yielded copies decouple consumers from the two alternating
+        # iterate buffers reused here.
+        x = graph.propagate_decayed(x, 1.0 - c, out=buffers[index % 2])
         yield x.copy()

@@ -12,11 +12,11 @@ run unmodified on a mutating graph.  Internally it is two layers:
   ``Ã'^T == Ã^T + Δ``.
 
 A propagation while mutations are pending evaluates the base-CSR product
-through the usual :mod:`repro.kernels` dispatch (``spmv`` /
-``spmm_tiled`` / ``spmm``) **plus** one sparse delta fold, then applies
-the uniform-dangling correction with the *current* (overlay-aware)
-dangling set.  The two-term evaluation is exact up to the float rounding
-of the overlay's ``1/d_new - 1/d_old`` corrections — the documented
+through the usual :mod:`repro.kernels` dispatch (``spmv`` / ``spmm``)
+**plus** one sparse delta fold, then applies the uniform-dangling
+correction with the *current* (overlay-aware) dangling set.  The
+two-term evaluation is exact up to the float rounding of the overlay's
+``1/d_new - 1/d_old`` corrections — the documented
 :data:`~repro.dynamic.OVERLAY_TOLERANCE` tier.  After :meth:`compact`
 the overlay is empty and every call delegates straight to the fresh
 base, whose spliced CSR is canonically identical to a from-scratch
@@ -127,11 +127,8 @@ def _folded_product(
         or out is x
     ):
         out = None
-    tiling = base.spmm_tiling
     if x.ndim == 1:
         y = kernels.spmv(operator, x, out=out)
-    elif tiling is not None:
-        y = kernels.spmm_tiled(operator, x, out=out, tiling=tiling)
     else:
         y = kernels.spmm(operator, x, out=out)
     if delta is not None:
@@ -303,11 +300,10 @@ class DynamicGraph:
         and refinalizes it through the exact normalization pipeline a
         from-scratch build runs, so post-compact results are bitwise
         identical to a fresh :class:`Graph` on the same edge set.  Bumps
-        the base epoch, clears the overlay, carries any attached SpMM
-        tiling over, and returns the sorted operator rows (``Ã^T``
-        destinations) whose stripe content changed — what a sharded
-        deployment must republish.  No-op (no epoch bump) when nothing
-        is pending.
+        the base epoch, clears the overlay, and returns the sorted
+        operator rows (``Ã^T`` destinations) whose stripe content
+        changed — what a sharded deployment must republish.  No-op (no
+        epoch bump) when nothing is pending.
         """
         with self._lock:
             if not self._overlay.touched:
@@ -317,9 +313,6 @@ class DynamicGraph:
             new_base = _graph_from_adjacency(
                 adjacency, self._base.dangling_policy
             )
-            tiling = self._base.spmm_tiling
-            if tiling is not None:
-                new_base.set_spmm_tiling(tiling)
             events = self._overlay.events
             self._base = new_base
             self._overlay = DeltaOverlay(new_base, events=events)
@@ -535,16 +528,6 @@ class DynamicGraph:
     def undirected_view(self) -> sp.csr_array:
         return self._clean_base("undirected_view").undirected_view()
 
-    # -- execution hints -------------------------------------------------------
-
-    @property
-    def spmm_tiling(self):
-        return self._base.spmm_tiling
-
-    def set_spmm_tiling(self, tiling) -> None:
-        with self._lock:
-            self._base.set_spmm_tiling(tiling)
-
     def permute(self, perm: np.ndarray) -> "_PermutedDynamicGraph":
         """A live relabeled view (old node ``perm[i]`` becomes new node
         ``i``) that tracks this graph's mutations and compactions —
@@ -586,7 +569,6 @@ class _PermutedDynamicGraph:
         self._lock = threading.RLock()
         self._synced_epoch = -1
         self._base: Graph | None = None
-        self._tiling = None
         # Translated delta operators keyed (events, decay, dtype name).
         self._delta_cache: dict[tuple[int, float | None, str], sp.csr_array | None] = {}
         self._sync()
@@ -596,10 +578,7 @@ class _PermutedDynamicGraph:
         with self._lock:
             epoch, base = self._parent.base_snapshot()
             if epoch != self._synced_epoch:
-                permuted = base.permute(self._perm)
-                if self._tiling is not None:
-                    permuted.set_spmm_tiling(self._tiling)
-                self._base = permuted
+                self._base = base.permute(self._perm)
                 self._synced_epoch = epoch
                 self._delta_cache.clear()
             return self._base
@@ -750,16 +729,6 @@ class _PermutedDynamicGraph:
     @property
     def transition_transpose(self) -> sp.csr_array:
         return self._clean_base("transition_transpose").transition_transpose
-
-    @property
-    def spmm_tiling(self):
-        return self._tiling
-
-    def set_spmm_tiling(self, tiling) -> None:
-        with self._lock:
-            self._tiling = tiling
-            if self._base is not None:
-                self._base.set_spmm_tiling(tiling)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

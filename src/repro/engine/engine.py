@@ -157,15 +157,11 @@ class Engine:
         ``"slashburn"`` relabels the graph into SlashBurn hub/spoke order
         before preprocessing (:func:`repro.kernels.locality_reordering`),
         which clusters each CSR row's column gathers and makes the
-        blocked ``(n, B)`` SpMM of the online phase cache friendly.  A
-        hub-aligned row tiling is attached to the serving graph at the
-        same time (:meth:`~repro.kernels.LocalityReordering.spmm_tiling`,
-        tunable via ``REPRO_KERNEL_TILE`` /
-        :func:`repro.kernels.set_tile_rows`), so every batched iterate
-        runs the tiled SpMM schedule.  The engine translates seeds and
-        results at the boundary, so callers keep using original node ids
-        throughout.  Requires ``graph`` (an already-preprocessed method
-        is bound to its node ordering).  A caller-built
+        blocked ``(n, B)`` SpMM of the online phase cache friendly.
+        The engine translates seeds and results at the boundary, so
+        callers keep using original node ids throughout.  Requires
+        ``graph`` (an already-preprocessed method is bound to its node
+        ordering).  A caller-built
         :class:`~repro.kernels.LocalityReordering` over ``graph`` is
         accepted too — :class:`repro.sharding.Router` passes the
         community-aligned ordering it derives from
@@ -188,15 +184,15 @@ class Engine:
         fixed integer width is a :class:`ParameterError`.
     tune:
         A :class:`repro.tune.TuneProfile` (e.g. from
-        :func:`repro.tune.autotune`).  Its process-global knobs are
-        installed via :meth:`~repro.tune.TuneProfile.apply` (tile
-        height, kernel threads — each skipped when its environment
-        variable overrides it), and its ``stream_block`` becomes this
-        engine's default block width.  Precedence is always ``explicit
-        argument > environment variable > tuned profile > static
-        default``: passing ``stream_block=``/``memory_budget_bytes=``
-        explicitly wins over the profile.  :meth:`shard` defaults its
-        shard count from the profile too.
+        :func:`repro.tune.autotune`).  Its process-global knob is
+        installed via :meth:`~repro.tune.TuneProfile.apply` (kernel
+        threads — skipped when ``REPRO_KERNEL_THREADS`` overrides them),
+        and its ``stream_block`` becomes this engine's default block
+        width.  Precedence is always ``explicit argument > environment
+        variable > tuned profile > static default``: passing
+        ``stream_block=``/``memory_budget_bytes=`` explicitly wins over
+        the profile.  :meth:`shard` defaults its shard count from the
+        profile too.
     warm_start:
         On a mutable substrate (a graph exposing ``epoch_token()``,
         i.e. :class:`repro.dynamic.DynamicGraph`), reuse each seed's
@@ -325,10 +321,6 @@ class Engine:
         serving_graph = (
             self._reordering.graph if self._reordering is not None else graph
         )
-        if self._reordering is not None:
-            # Hub-aware tiled execution for every blocked product on the
-            # serving operator: the whole point of the SlashBurn order.
-            serving_graph.set_spmm_tiling(self._reordering.spmm_tiling())
         if serving_graph is None:
             if not method.is_preprocessed:
                 raise ParameterError(
@@ -807,12 +799,15 @@ class Engine:
                             base, top_nodes=picks, top_scores=vector[picks]
                         )
                     )
-        self._queries_served += len(results)
+        self._count_served(len(results))
+        return results
+
+    def _count_served(self, count: int) -> None:
+        self._queries_served += count
         obs_metrics.get_registry().counter(
             "repro_queries_served_total",
             "Queries answered across every engine instance.",
-        ).inc(len(results))
-        return results
+        ).inc(count)
 
     def _warm_hints(self, fresh: list[int]) -> np.ndarray | None:
         """Per-seed ``x0`` guesses scavenged from stale cache entries.
@@ -947,11 +942,7 @@ class Engine:
                             top_nodes=picks,
                             top_scores=vector[picks],
                         )
-        self._queries_served += len(requests)
-        obs_metrics.get_registry().counter(
-            "repro_queries_served_total",
-            "Queries answered across every engine instance.",
-        ).inc(len(requests))
+        self._count_served(len(requests))
         return results
 
     def _rank_block(
@@ -1026,7 +1017,7 @@ class Engine:
             self._online_seconds += time.perf_counter() - begin
             if self._reordering is not None:
                 rankings = self._reordering.ids_to_original(rankings)
-            self._queries_served += rankings.shape[0]
+            self._count_served(rankings.shape[0])
             return rankings
 
     # -- LRU cache -------------------------------------------------------------

@@ -14,6 +14,12 @@ This subpackage provides everything the RWR algorithms need from a graph:
 * :mod:`~repro.graph.slashburn` — SlashBurn hub/spoke ordering (needed by
   BEAR-APPROX and BePI).
 * :mod:`~repro.graph.partition` — community partitioning (needed by NB-LIN).
+
+The graph protocol the iterate loops (:mod:`repro.core.cpi`) consume is
+``propagate_decayed(x, decay, out=None)`` plus ``propagate(x)``; every
+substrate — :class:`Graph`, :class:`DiskGraph`,
+:class:`repro.dynamic.DynamicGraph` and its permuted view,
+:class:`repro.sharding.ShardedOperator` — implements both.
 """
 
 from repro.graph.graph import Graph

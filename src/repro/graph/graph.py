@@ -170,10 +170,6 @@ class Graph:
         # arrays are shared with the base operator — each entry costs one
         # data-array copy.
         self._operator_cache: dict[tuple[float | None, str], sp.csr_array] = {}
-        # Optional row tiling for the blocked (n, B) products; attached by
-        # the Engine when a SlashBurn reordering makes tiled execution
-        # cache friendly.  Bitwise neutral: tiled == untiled by contract.
-        self._spmm_tiling: "kernels.RowTiling | None" = None
 
     # -- basic properties ------------------------------------------------------
 
@@ -239,29 +235,6 @@ class Graph:
 
     # -- the stochastic propagation operator -----------------------------------
 
-    @property
-    def spmm_tiling(self) -> "kernels.RowTiling | None":
-        """The row tiling blocked products execute under, if any."""
-        return self._spmm_tiling
-
-    def set_spmm_tiling(self, tiling: "kernels.RowTiling | None") -> None:
-        """Attach (or clear) the execution tiling for blocked products.
-
-        Every subsequent ``(n, B)`` :meth:`propagate` /
-        :meth:`propagate_decayed` runs through
-        :func:`repro.kernels.spmm_tiled` with this schedule.  Results are
-        bitwise identical to the untiled path — this is an execution-
-        schedule hint, not a numeric setting — which is why the logically
-        immutable graph may carry it.  ``Engine(..., reorder="slashburn")``
-        attaches a hub-aligned tiling automatically.
-        """
-        if tiling is not None and tiling.num_rows != self._n:
-            raise GraphFormatError(
-                f"tiling covers {tiling.num_rows} rows but the graph has "
-                f"{self._n} nodes"
-            )
-        self._spmm_tiling = tiling
-
     def propagate(self, x: np.ndarray) -> np.ndarray:
         """Apply the column-stochastic operator: return ``Ã^T x`` (plus the
         uniform dangling correction when the policy is ``"uniform"``).
@@ -279,20 +252,7 @@ class Graph:
         operand is multiplied against a cached float32 cast of the
         operator, keeping the whole product in single precision.
         """
-        operator = self._operator_for(None, x.dtype)
-        if x.ndim == 1:
-            y = kernels.spmv(operator, x)
-        elif self._spmm_tiling is not None:
-            y = kernels.spmm_tiled(operator, x, tiling=self._spmm_tiling)
-        else:
-            y = kernels.spmm(operator, x)
-        if self._dangling.size and self._dangling_policy == "uniform":
-            # Per-column leaked mass; a scalar for 1-D input, a length-B
-            # row for matrix input (broadcast over every node).
-            leaked = x[self._dangling].sum(axis=0)
-            if np.any(leaked != 0.0):
-                y += leaked / self._n
-        return y
+        return self.propagate_decayed(x, None)
 
     def _operator_for(self, decay: float | None, dtype) -> sp.csr_array:
         """``Ã^T``, optionally pre-scaled by ``decay`` and cast to ``dtype``.
@@ -336,9 +296,10 @@ class Graph:
         )
 
     def propagate_decayed(
-        self, x: np.ndarray, decay: float, out: np.ndarray | None = None
+        self, x: np.ndarray, decay: float | None, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Apply the decayed operator: return ``decay · Ã^T x``.
+        """Apply the decayed operator: return ``decay · Ã^T x``
+        (``decay=None``: the plain ``Ã^T x`` of :meth:`propagate`).
 
         Functionally ``decay * propagate(x)``, but the decay is folded into
         a cached copy of the operator's value array
@@ -365,17 +326,18 @@ class Graph:
             out = None  # unusable buffer: fall back to allocating
         if x.ndim == 1:
             y = kernels.spmv(operator, x, out=out)
-        elif self._spmm_tiling is not None:
-            # CPI/TPA batched iterate loops land here: every (n, B) step
-            # of the online phase runs the tiled schedule once a
-            # reordering has attached one.
-            y = kernels.spmm_tiled(operator, x, out=out, tiling=self._spmm_tiling)
         else:
             y = kernels.spmm(operator, x, out=out)
         if self._dangling.size and self._dangling_policy == "uniform":
+            # Per-column leaked mass; a scalar for 1-D input, a length-B
+            # row for matrix input (broadcast over every node).
             leaked = x[self._dangling].sum(axis=0)
             if np.any(leaked != 0.0):
-                y += (decay / self._n) * leaked
+                # Two spellings, both part of the bitwise contract.
+                if decay is None:
+                    y += leaked / self._n
+                else:
+                    y += (decay / self._n) * leaked
         return y
 
     # -- structural helpers -----------------------------------------------------

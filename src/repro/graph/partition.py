@@ -160,7 +160,7 @@ def partition_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         graph with :meth:`~repro.graph.graph.Graph.permute` groups each
         community into one block), and ``starts`` holds the first new id
         of every non-empty partition, ascending — the natural cut points
-        for community-aligned row shards and tiles.
+        for community-aligned row shards.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:

@@ -61,10 +61,8 @@ class SlashBurnOrdering:
         """First new node id of every non-hub block, ascending.
 
         These are the natural cut points of the permuted operator: a row
-        tile closed on a block start gathers only from its own blocks
-        plus the hub band, which is what makes the blocked SpMM
-        (:func:`repro.kernels.row_tiling` with ``block_starts``) cache
-        friendly.  Empty when the graph is all hubs.
+        stripe closed on a block start gathers only from its own blocks
+        plus the hub band.  Empty when the graph is all hubs.
         """
         if not self.blocks:
             return np.empty(0, dtype=np.int64)
@@ -76,8 +74,8 @@ class SlashBurnOrdering:
         """Every natural cut point of the permuted operator, ascending:
         the hub/spoke frontier, each non-hub block start, and ``n``.
 
-        This is the candidate set row shards and tiles may close on —
-        cutting anywhere else would split a community block across two
+        This is the candidate set row shards may close on — cutting
+        anywhere else would split a community block across two
         stripes.  :func:`repro.sharding.ShardPlan.from_slashburn` packs
         shard boundaries from exactly this set.
         """

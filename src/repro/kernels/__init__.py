@@ -8,10 +8,6 @@ power-iteration baseline — bottoms out in repeated sparse matrix–vector
 
 * :func:`spmv` / :func:`spmm` — CSR-native products with caller-supplied
   output buffers (no per-iteration allocation);
-* :func:`spmm_tiled` — the same product executed over a hub-aware
-  :class:`~repro.kernels.tiling.RowTiling` (bitwise identical to
-  :func:`spmm`; tuned by ``REPRO_KERNEL_TILE`` / :func:`set_tile_rows`
-  and auto-enabled by ``Engine(..., reorder="slashburn")``);
 * :func:`select_top_k` / :func:`select_top_k_many` — the ranking
   primitives (:mod:`repro.kernels.topk`): batch-parallel bounded-heap
   top-k selection on the Numba backend, the looped ``argpartition``
@@ -46,14 +42,14 @@ cores this process may run on (``sched_getaffinity``); :func:`num_threads`
 reports it.  Numba applies it to its ``prange`` pool.  The NumPy backend
 applies it as a *ceiling*: SciPy's sparsetools and NumPy's
 copy/partition loops release the interpreter lock, so :func:`spmv`,
-:func:`spmm`, :func:`spmm_tiled` and the fallback
-:func:`select_top_k_many` run as contiguous row stripes — balanced by
-nonzeros for the products (degrees are heavy-tailed), by rows for the
-selection — the caller computing the first stripe and a lazily started,
-per-process pool of daemon threads the rest.  Every row is computed by
-the same C loop in the same order, so results are bitwise identical at
-any thread count and :func:`cache_token` does not name it.  A call
-splits only when both hold:
+:func:`spmm` and the fallback :func:`select_top_k_many` run as
+contiguous row stripes — balanced by nonzeros for the products
+(degrees are heavy-tailed), by rows for the selection — the caller
+computing the first stripe and a lazily started, per-process pool of
+daemon threads the rest.  Every row is computed by the same C loop in
+the same order, so results are bitwise identical at any thread count
+and :func:`cache_token` does not name it.  A call splits only when both
+hold:
 
 * **the work floor** — its work (``nnz × width`` multiply-adds, or
   ``rows × n`` ranked elements) is at least ``WORK_FLOOR`` = 2 M, about
@@ -106,7 +102,7 @@ below typical recall@k sensitivity.  Use float64 (default) when scores
 feed error-bound experiments (Table III) or convergence studies with
 ``tol < 1e-6`` — a float32 iterate cannot certify residuals near machine
 epsilon.  Caches must key on :func:`cache_token`, which names the active
-backend, tile configuration, shard annotation, and compute dtype; the
+backend, shard annotation, graph generation, and compute dtype; the
 Engine's LRU does.
 
 Benchmark trajectory
@@ -140,21 +136,13 @@ from repro.kernels.backend import (
     _backend_module,
 )
 from repro.kernels.reorder import LocalityReordering, locality_reordering
-from repro.kernels.tiling import (
-    DEFAULT_TILE_ROWS,
-    RowTiling,
-    row_tiling,
-    rows_from_panel,
-    set_tile_rows,
-    tile_rows,
-)
+from repro.kernels.tiling import rows_from_panel
 from repro.kernels.topk import select_top_k, select_top_k_many
 from repro.kernels.workspace import Workspace
 
 __all__ = [
     "spmv",
     "spmm",
-    "spmm_tiled",
     "scaled_values",
     "select_top_k",
     "select_top_k_many",
@@ -173,12 +161,7 @@ __all__ = [
     "Workspace",
     "LocalityReordering",
     "locality_reordering",
-    "DEFAULT_TILE_ROWS",
-    "RowTiling",
-    "row_tiling",
     "rows_from_panel",
-    "set_tile_rows",
-    "tile_rows",
     "forward_push_loop",
     "backward_push_loop",
 ]
@@ -263,37 +246,9 @@ def spmm(matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _backend_module().spmm(matrix, x, out)
 
 
-def spmm_tiled(
-    matrix,
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    tiling: "RowTiling | None" = None,
-) -> np.ndarray:
-    """:func:`spmm` executed tile by tile along the rows of ``matrix``.
-
-    ``tiling`` fixes the execution schedule (see
-    :mod:`repro.kernels.tiling`); ``None`` builds a plain equal-height
-    tiling from the configured tile height.  Per-row arithmetic is
-    unchanged, so the result is **bitwise identical** to :func:`spmm` on
-    both backends — the tiling only bounds each pass's working set, which
-    is where the win comes from on a SlashBurn-reordered operator (hot
-    hub band + block-local gathers).  Same ``out`` contract as
-    :func:`spmv`.
-    """
-    x = _prepare_operand(matrix, x, 2)
-    out = _prepare_out(matrix, x, out, (matrix.shape[0], x.shape[1]))
-    if tiling is None:
-        tiling = row_tiling(matrix.shape[0])
-    elif tiling.num_rows != matrix.shape[0]:
-        raise ParameterError(
-            f"tiling covers {tiling.num_rows} rows but the matrix has "
-            f"{matrix.shape[0]}"
-        )
-    module = _backend_module()
-    impl = getattr(module, "spmm_tiled", None)
-    if impl is None:  # pragma: no cover - every shipped backend has one
-        return module.spmm(matrix, x, out)
-    return impl(matrix, x, out, tiling.boundaries)
+#: Only caller: the frozen benchmark's ``kernels.spmm_tiled_ratio`` rung
+#: (``benchmarks/ladder/ladder.py`` and its smoke test).
+spmm_tiled = spmm
 
 
 def forward_push_loop(*args) -> int | None:

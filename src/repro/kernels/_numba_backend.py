@@ -78,29 +78,6 @@ def _spmm(indptr, indices, data, x, out):  # pragma: no cover - JIT
                 out[i, k] += value * x[column, k]
 
 
-@njit(parallel=True, nogil=True, cache=True)
-def _spmm_tiled(indptr, indices, data, x, out, boundaries):  # pragma: no cover - JIT
-    # Tile-parallel variant of _spmm: prange over row tiles instead of
-    # rows.  Each row's accumulation is identical to _spmm's (same stored
-    # index order, same output-dtype rounding), so the tiled product is
-    # bitwise identical to the untiled one; the tiling only fixes the
-    # traversal schedule so a tile's out slice plus the x rows it gathers
-    # (hub band + its own community blocks under SlashBurn order) stay
-    # cache resident, and gives the scheduler coarser, better-balanced
-    # units than single skewed rows.
-    width = x.shape[1]
-    tiles = boundaries.shape[0] - 1
-    for t in prange(tiles):
-        for i in range(boundaries[t], boundaries[t + 1]):
-            for k in range(width):
-                out[i, k] = 0.0
-            for j in range(indptr[i], indptr[i + 1]):
-                value = data[j]
-                column = indices[j]
-                for k in range(width):
-                    out[i, k] += value * x[column, k]
-
-
 @njit(nogil=True, cache=True)
 def _heap_worse(s_a, i_a, s_b, i_b):  # pragma: no cover - JIT
     # "a is worse than b" under the ranking order (score descending, ties
@@ -193,15 +170,6 @@ def spmm(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out <- matrix @ x`` for CSR ``matrix`` and a C-contiguous
     ``(n, B)`` operand."""
     _spmm(matrix.indptr, matrix.indices, matrix.data, x, out)
-    return out
-
-
-def spmm_tiled(
-    matrix, x: np.ndarray, out: np.ndarray, boundaries: np.ndarray
-) -> np.ndarray:
-    """``out <- matrix @ x`` executed tile by tile (bitwise equal to
-    :func:`spmm`; see :mod:`repro.kernels.tiling`)."""
-    _spmm_tiled(matrix.indptr, matrix.indices, matrix.data, x, out, boundaries)
     return out
 
 

@@ -8,8 +8,8 @@ original ``operator @ x`` expressions (the equivalence the test suite
 asserts).  Calling the private kernels directly buys two things ``@``
 cannot offer: accumulation into a caller-supplied output buffer, so
 iterate loops stop allocating a fresh multi-megabyte matrix per step,
-and products over zero-copy *row slices* of the operator — the unit both
-the tiled schedule and the thread stripes are made of.
+and products over zero-copy *row slices* of the operator — the unit the
+thread stripes are made of.
 
 Threads: the SciPy kernels (and NumPy's copy/partition loops) release
 the interpreter lock, and CSR rows partition the output, so a large call
@@ -276,59 +276,41 @@ def _tile(matrix, x: np.ndarray, out: np.ndarray, r0: int, r1: int) -> None:
         )
 
 
-def _stripe_bounds(indptr, boundaries, stripes: int) -> list:
-    """Cut the tile ``boundaries`` (``None``: every row is a tile) into
-    at most ``stripes`` contiguous runs holding about equal nonzeros —
-    not equal rows: degrees are heavy-tailed, so equal-row stripes leave
-    one thread with the hubs.  Each run is its own boundary array; empty
-    runs are dropped."""
-    marks = indptr if boundaries is None else indptr[boundaries]
-    targets = int(marks[-1]) * np.arange(1, stripes) // stripes
-    cuts = [0, *np.searchsorted(marks, targets).tolist(), marks.size - 1]
-    runs = []
-    for begin, end in zip(cuts, cuts[1:]):
-        if begin < end:
-            runs.append(
-                (begin, end) if boundaries is None
-                else boundaries[begin : end + 1]
-            )
-    return runs
+def _stripe_bounds(indptr, stripes: int) -> list:
+    """Cut the rows into at most ``stripes`` contiguous ``(r0, r1)`` runs
+    holding about equal nonzeros — not equal rows: degrees are
+    heavy-tailed, so equal-row stripes leave one thread with the hubs.
+    Empty runs are dropped."""
+    targets = int(indptr[-1]) * np.arange(1, stripes) // stripes
+    cuts = [0, *np.searchsorted(indptr, targets).tolist(), indptr.size - 1]
+    return [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r0 < r1]
 
 
-def spmm(matrix, x: np.ndarray, out: np.ndarray, boundaries=None):
+def spmm(matrix, x: np.ndarray, out: np.ndarray):
     """``out <- matrix @ x`` for CSR ``matrix`` and a 1-D or C-contiguous
-    ``(n, B)`` operand.  With tile ``boundaries`` the product is executed
-    tile by tile: each tile is one :func:`_tile` call, so the tiled
-    product is bitwise identical — the tiling only bounds each pass's
-    working set."""
+    ``(n, B)`` operand."""
     if _csr_matvecs is None:
         np.copyto(out, matrix @ x)
         return out
     work = matrix.data.size * (1 if x.ndim == 1 else x.shape[1])
-    if boundaries is None and (num_threads == 1 or work < WORK_FLOOR):
+    if num_threads == 1 or work < WORK_FLOOR:
         # What :func:`striped` would do, without building its arguments:
-        # the whole product is one tile on the calling thread.
+        # the whole product is one slice on the calling thread.
         if num_threads > 1:
             _cores.touch()
         _tile(matrix, x, out, 0, matrix.shape[0])
         return out
-
-    def split(stripes):
-        if stripes == 1:
-            return [(0, matrix.shape[0]) if boundaries is None else boundaries]
-        return _stripe_bounds(matrix.indptr, boundaries, stripes)
-
-    def task(run):
-        for t in range(len(run) - 1):
-            _tile(matrix, x, out, int(run[t]), int(run[t + 1]))
-
-    striped(work, split, task)
+    striped(
+        work,
+        lambda stripes: _stripe_bounds(matrix.indptr, stripes),
+        lambda run: _tile(matrix, x, out, *run),
+    )
     return out
 
 
-#: The SpMV and the tiled SpMM are the same routine (one frame fewer on
-#: the small-call path than a wrapper each).
-spmv = spmm_tiled = spmm
+#: The SpMV is the same routine (one frame fewer on the small-call path
+#: than a wrapper).
+spmv = spmm
 
 
 #: The bounded-heap batched selection only exists compiled; the dispatcher

@@ -271,8 +271,8 @@ def set_shard_annotation(tag: str | None) -> str | None:
 
     Sharded execution is bitwise identical to the single-process product
     by contract (row stripes change the schedule, not the per-row
-    arithmetic), so the annotation — like the tile component — records
-    *how* results were produced rather than gating their reuse.
+    arithmetic), so the annotation records *how* results were produced
+    rather than gating their reuse.
     """
     global _shard_annotation
     previous = _shard_annotation
@@ -283,15 +283,14 @@ def set_shard_annotation(tag: str | None) -> str | None:
 def cache_token(graph=None) -> str:
     """Opaque token identifying the numeric configuration of results.
 
-    Two runs with equal tokens compute with the same backend, tiling
-    configuration, sharding, *graph generation*, and dtype, so their
-    score vectors are interchangeable; score caches (e.g. the
+    ``backend:shard:graph:dtype``.  Two runs with equal tokens compute
+    with the same backend, sharding, *graph generation*, and dtype, so
+    their score vectors are interchangeable; score caches (e.g. the
     :class:`~repro.engine.Engine` LRU) must key on this so a float32 run
-    never serves cached float64 vectors (or vice versa).  The tile and
-    shard components (see :mod:`repro.kernels.tiling` and
-    :mod:`repro.sharding`) keep caches honest about *how* results were
-    produced even though tiled, sharded, and plain products are bitwise
-    identical by contract.
+    never serves cached float64 vectors (or vice versa).  The shard
+    component (see :mod:`repro.sharding`) keeps caches honest about
+    *how* results were produced even though sharded and plain products
+    are bitwise identical by contract.
 
     ``graph`` optionally supplies the substrate results were computed
     on.  A static graph (or ``None``) contributes the constant
@@ -304,15 +303,13 @@ def cache_token(graph=None) -> str:
     tier (:data:`repro.dynamic.OVERLAY_TOLERANCE`), the same way the
     dtype component already names the float32 tier.
     """
-    from repro.kernels.tiling import tile_token
-
     shard = "shard-none" if _shard_annotation is None else (
         f"shard-{_shard_annotation}"
     )
     epoch = getattr(graph, "epoch_token", None)
     generation = "graph-static" if epoch is None else f"graph-{epoch()}"
     return (
-        f"{_active_backend}:{tile_token()}:{shard}:{generation}:"
+        f"{_active_backend}:{shard}:{generation}:"
         f"{np.dtype(_compute_dtype).name}"
     )
 

@@ -26,8 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kernels.tiling import RowTiling, row_tiling
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at call time: repro.graph.graph itself imports the
     # kernel layer, so a module-level import here would be circular.
@@ -54,8 +52,8 @@ class LocalityReordering:
         operator are the hot band).
     block_starts:
         First reordered id of every non-hub community block, ascending
-        (empty when unknown) — the natural tile cut points for
-        :meth:`spmm_tiling`.
+        (empty when unknown) — the frontiers
+        :meth:`repro.sharding.ShardPlan.from_slashburn` cuts shards on.
     """
 
     graph: Graph
@@ -77,19 +75,6 @@ class LocalityReordering:
         ids = np.asarray(ids)
         result = np.where(ids >= 0, self.to_original[np.clip(ids, 0, None)], ids)
         return result.astype(np.int64, copy=False)
-
-    def spmm_tiling(self, tile_height: int | None = None) -> RowTiling:
-        """A :class:`~repro.kernels.tiling.RowTiling` tuned to this
-        ordering: the hub band is chunked separately and spoke tiles
-        close on community-block frontiers, so each tile's gathers stay
-        within the hot hub prefix plus its own blocks.  ``tile_height``
-        defaults to the configured :func:`repro.kernels.tile_rows`."""
-        return row_tiling(
-            self.graph.num_nodes,
-            num_hubs=self.num_hubs,
-            tile_height=tile_height,
-            block_starts=self.block_starts,
-        )
 
 
 def locality_reordering(graph: Graph, k: int | None = None) -> LocalityReordering:

@@ -245,7 +245,7 @@ class Server:
         A :class:`repro.tune.TuneProfile`.  Supplies defaults for every
         knob the caller leaves at ``None`` — ``workers``, ``max_batch``,
         ``max_wait_ms`` — and flows into the primary Engine (block
-        width, global tile/thread knobs).  Explicit arguments always
+        width, global kernel-thread knob).  Explicit arguments always
         win over the profile.
     pin:
         Pin each worker thread to its own core set

@@ -12,7 +12,6 @@ frontiers and each shard is owned by one worker process:
 * :class:`ShardPlan` — contiguous row stripes cut on SlashBurn block
   starts (hub band pinned to shard 0) or
   :func:`~repro.graph.partition.partition_graph` community boundaries;
-  :class:`~repro.kernels.RowTiling`-compatible;
 * :class:`ShardStore` — publishes each shard's CSR row stripe plus the
   two iterate panels into ``multiprocessing.shared_memory``; workers map
   them zero-copy, and ``close()`` provably unlinks every segment;

@@ -1,9 +1,7 @@
 """Partition-aligned row shards of the propagation operator.
 
 A :class:`ShardPlan` cuts the rows of ``Ã^T`` into contiguous stripes,
-one per worker process.  Where a :class:`~repro.kernels.tiling.RowTiling`
-schedules tiles *within* one process, a plan assigns row ownership
-*across* processes — and it cuts on the same natural frontiers:
+one per worker process, closed on the operator's natural frontiers:
 
 * under a SlashBurn ordering, the hub band is pinned to shard 0 and the
   spoke shards close on community-block starts
@@ -14,10 +12,6 @@ schedules tiles *within* one process, a plan assigns row ownership
   (:meth:`ShardPlan.from_block_starts` over
   :func:`~repro.graph.partition.partition_order` starts);
 * with no structure, :meth:`ShardPlan.uniform` cuts equal stripes.
-
-Plans are :class:`RowTiling`-compatible: :meth:`ShardPlan.row_tiling`
-subdivides each shard into execution tiles whose boundaries include
-every shard cut, so a worker's tiled sweep never straddles two shards.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.kernels.tiling import RowTiling, row_tiling, tile_rows
 
 __all__ = ["ShardPlan"]
 
@@ -116,28 +109,6 @@ class ShardPlan:
                 f"shard index must lie in [0, {self.num_shards - 1}]"
             )
         return int(self.boundaries[shard]), int(self.boundaries[shard + 1])
-
-    def row_tiling(self, tile_height: int | None = None) -> RowTiling:
-        """An execution :class:`RowTiling` compatible with this plan.
-
-        Every shard boundary is a tile boundary (tiles never straddle
-        shards), the hub band keeps its pinned frontier, and each shard's
-        interior is chunked at the configured tile height — so a worker
-        can run its stripe through the tiled SpMM schedule unchanged.
-        """
-        cuts = [np.asarray([0], dtype=np.int64)]
-        for shard in range(self.num_shards):
-            begin, end = self.shard_rows(shard)
-            hubs = max(0, min(self.num_hubs, end) - begin) if begin < self.num_hubs else 0
-            inner = row_tiling(
-                end - begin, num_hubs=hubs, tile_height=tile_height
-            )
-            cuts.append(inner.boundaries[1:] + begin)
-        return RowTiling(
-            boundaries=np.unique(np.concatenate(cuts)),
-            num_hubs=self.num_hubs,
-            tile_height=tile_height if tile_height is not None else tile_rows(),
-        )
 
     # -- builders --------------------------------------------------------------
 

@@ -117,7 +117,7 @@ class Router:
         A :class:`repro.tune.TuneProfile`.  Supplies defaults for every
         knob the caller leaves at ``None`` — ``num_shards``,
         ``max_batch``, ``max_wait_ms`` — and flows into the primary
-        Engine (block width, global tile/thread knobs).  Explicit
+        Engine (block width, global kernel-thread knob).  Explicit
         arguments always win over the profile.
     pin:
         Pin each shard worker process to its own core set

@@ -1,20 +1,19 @@
 """Hardware autotuning and placement for the serving stack.
 
 Every perf-critical knob in the repo used to be a static default:
-``tile_rows`` (kernel tiling), ``stream_block`` (Engine block width),
-``max_batch``/``max_wait_ms`` (Scheduler), worker and shard counts,
-Numba thread count.  This package measures the actual machine and picks
-them, in three layers:
+``stream_block`` (Engine block width), ``max_batch``/``max_wait_ms``
+(Scheduler), worker and shard counts, Numba thread count.  This package
+measures the actual machine and picks them, in three layers:
 
 1. **Measurement** — :func:`repro.tune.probe.probe_measurements` times
-   the real kernels (``spmv``/``spmm``/``spmm_tiled``/
-   ``select_top_k_many``) on the live graph (or a scaled stand-in)
-   across a small grid of tile heights, block widths, and thread counts.
+   the real kernels (``spmv``/``spmm``/``select_top_k_many``) on the
+   live graph (or a scaled stand-in) across a small grid of block
+   widths and thread counts.
 2. **Decision** — :func:`autotune` wraps the probe in a versioned
    on-disk cache (``~/.cache/repro/tune-<machine-fingerprint>.json``)
    keyed on a hardware fingerprint; :class:`TuneProfile` holds the
    picked knobs, ``TuneProfile.apply()`` installs the process-global
-   ones, and ``Engine(tune=...)`` / ``Server(tune=...)`` /
+   one, and ``Engine(tune=...)`` / ``Server(tune=...)`` /
    ``Router(tune=...)`` resolve the per-instance ones.  Precedence is
    always ``explicit arg > env var > tuned profile > static default``.
 3. **Placement** — :mod:`repro.tune.pinning` pins shard worker

@@ -4,7 +4,6 @@ The measure-then-pick idiom (DGL's ASV kernel benchmarks run the same
 way): every knob the serving stack exposes is decided by timing the
 kernels it gates —
 
-* ``spmm_tiled`` across a small grid of tile heights → ``tile_rows``;
 * ``spmm`` across a grid of operand widths → ``stream_block`` (and the
   scheduler's ``max_batch``/``max_wait_ms``, which bound how wide a
   micro-batch can grow and how long coalescing may stall it);
@@ -31,13 +30,9 @@ from repro import kernels
 from repro.tune.fingerprint import MachineFingerprint
 
 __all__ = [
-    "DEFAULT_TILE_GRID",
     "DEFAULT_BLOCK_GRID",
     "probe_measurements",
 ]
-
-#: Tile heights the probe races (DEFAULT_TILE_ROWS and one step each way).
-DEFAULT_TILE_GRID = (1024, 4096, 16384)
 
 #: Stream-block widths the probe races (the Engine default 128 included).
 DEFAULT_BLOCK_GRID = (32, 64, 128, 256)
@@ -95,7 +90,6 @@ def probe_measurements(
     *,
     nodes: int = 8000,
     avg_degree: int = 12,
-    tile_grid: tuple[int, ...] = DEFAULT_TILE_GRID,
     block_grid: tuple[int, ...] = DEFAULT_BLOCK_GRID,
     thread_grid: tuple[int, ...] | None = None,
     repeats: int = 3,
@@ -144,19 +138,9 @@ def probe_measurements(
             lambda x=x, out=out: kernels.spmm(operator, x, out=out), repeats
         )
 
-    tiles: dict[int, float] = {}
     ref_width = min(64, max_width)
-    tile_x = np.ascontiguousarray(mat[:, :ref_width])
-    tile_out = np.empty_like(tile_x)
-    for height in sorted({int(t) for t in tile_grid if int(t) >= 1}):
-        tiling = kernels.row_tiling(n, tile_height=height)
-        kernels.spmm_tiled(operator, tile_x, out=tile_out, tiling=tiling)
-        tiles[height] = _best_of(
-            lambda tiling=tiling: kernels.spmm_tiled(
-                operator, tile_x, out=tile_out, tiling=tiling
-            ),
-            repeats,
-        )
+    ref_x = np.ascontiguousarray(mat[:, :ref_width])
+    ref_out = np.empty_like(ref_x)
 
     k = min(_PROBE_TOPK, n - 1)
     scores = np.ascontiguousarray(mat[:, :ref_width].T)
@@ -176,9 +160,9 @@ def probe_measurements(
             applied = kernels.num_threads()
             if applied in threads:  # clamped duplicates collapse
                 continue
-            kernels.spmm(operator, tile_x, out=tile_out)
+            kernels.spmm(operator, ref_x, out=ref_out)
             threads[applied] = _best_of(
-                lambda: kernels.spmm(operator, tile_x, out=tile_out),
+                lambda: kernels.spmm(operator, ref_x, out=ref_out),
                 repeats,
             )
     finally:
@@ -197,6 +181,5 @@ def probe_measurements(
         "topk_seconds": topk_seconds,
         "topk_k": int(k),
         "spmm_block_seconds": {str(w): s for w, s in blocks.items()},
-        "spmm_tile_seconds": {str(t): s for t, s in tiles.items()},
         "spmm_thread_seconds": {str(c): s for c, s in threads.items()},
     }

@@ -14,10 +14,10 @@ Precedence contract (enforced by :meth:`TuneProfile.apply` and the
 
     explicit argument  >  environment variable  >  tuned profile  >  static default
 
-``apply()`` therefore skips any global knob whose environment override
-is set: ``REPRO_KERNEL_TILE`` beats the tuned ``tile_rows``,
-``REPRO_KERNEL_THREADS`` beats the tuned thread count.  Constructor
-sites skip the profile whenever the caller passed an explicit value.
+``apply()`` therefore skips the global knob when its environment
+override is set: ``REPRO_KERNEL_THREADS`` beats the tuned thread count.
+Constructor sites skip the profile whenever the caller passed an
+explicit value.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class TuneProfile:
 
     fingerprint: MachineFingerprint
     measurements: dict
-    tile_rows: int
     stream_block: int
     kernel_threads: int | None
     workers: int
@@ -86,7 +85,6 @@ class TuneProfile:
             "fingerprint": self.fingerprint.to_dict(),
             "fingerprint_key": self.fingerprint.key(),
             "measurements": self.measurements,
-            "tile_rows": int(self.tile_rows),
             "stream_block": int(self.stream_block),
             "kernel_threads": (
                 None if self.kernel_threads is None else int(self.kernel_threads)
@@ -113,7 +111,6 @@ class TuneProfile:
                 payload.get("fingerprint", {})
             ),
             measurements=dict(payload.get("measurements", {})),
-            tile_rows=int(payload["tile_rows"]),
             stream_block=int(payload["stream_block"]),
             kernel_threads=(
                 None if kernel_threads is None else int(kernel_threads)
@@ -140,22 +137,17 @@ class TuneProfile:
     def apply(self) -> dict[str, object]:
         """Apply the profile's *global* knobs; returns what happened.
 
-        Sets the kernel tile height and thread count — the two knobs
-        with process-global state — honoring the precedence contract:
-        a set ``REPRO_KERNEL_TILE`` / ``REPRO_KERNEL_THREADS`` wins over
-        the profile and the knob is reported ``"env-override"`` instead
-        of applied.  Per-instance knobs (``stream_block``, worker/shard
-        counts, scheduler limits) are resolved at the constructors that
-        accept ``tune=``; ``apply()`` deliberately does not touch them.
+        Sets the kernel thread count — the one knob with process-global
+        state — honoring the precedence contract: a set
+        ``REPRO_KERNEL_THREADS`` wins over the profile and the knob is
+        reported ``"env-override"`` instead of applied.  Per-instance
+        knobs (``stream_block``, worker/shard counts, scheduler limits)
+        are resolved at the constructors that accept ``tune=``;
+        ``apply()`` deliberately does not touch them.
         """
         from repro import kernels
 
         applied: dict[str, object] = {}
-        if os.environ.get("REPRO_KERNEL_TILE", "").strip():
-            applied["tile_rows"] = "env-override"
-        else:
-            kernels.set_tile_rows(self.tile_rows)
-            applied["tile_rows"] = self.tile_rows
         if os.environ.get("REPRO_KERNEL_THREADS", "").strip():
             applied["kernel_threads"] = "env-override"
         elif self.kernel_threads is not None:
@@ -185,24 +177,19 @@ def derive_profile(
 ) -> TuneProfile:
     """Turn raw probe measurements into a :class:`TuneProfile`.
 
-    Measured knobs (``tile_rows``, ``stream_block``, ``kernel_threads``)
-    take the fastest grid cell — ``stream_block`` by *per-column* time,
-    since a wider product always costs more in total but may amortize
-    better.  Placement knobs (``workers``, ``shards``) come from the
+    Measured knobs (``stream_block``, ``kernel_threads``) take the
+    fastest grid cell — ``stream_block`` by *per-column* time, since a
+    wider product always costs more in total but may amortize better.
+    Placement knobs (``workers``, ``shards``) come from the
     fingerprint: one shard per NUMA node when there are several,
     otherwise up to four shards over the effective cores, and the
     remaining cores become each shard's kernel threads.
     """
-    tiles = {int(k): float(v) for k, v in measurements.get(
-        "spmm_tile_seconds", {}).items()}
     blocks = {int(k): float(v) for k, v in measurements.get(
         "spmm_block_seconds", {}).items()}
     threads = {int(k): float(v) for k, v in measurements.get(
         "spmm_thread_seconds", {}).items()}
 
-    from repro.kernels.tiling import DEFAULT_TILE_ROWS
-
-    tile_rows = _argmin(tiles) or DEFAULT_TILE_ROWS
     per_column = {w: s / w for w, s in blocks.items()}
     stream_block = _argmin(per_column) or 128
     kernel_threads = _argmin(threads)
@@ -231,7 +218,6 @@ def derive_profile(
     return TuneProfile(
         fingerprint=fingerprint,
         measurements=dict(measurements),
-        tile_rows=int(tile_rows),
         stream_block=int(stream_block),
         kernel_threads=kernel_threads,
         workers=int(workers),

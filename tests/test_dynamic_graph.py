@@ -221,6 +221,11 @@ class TestEpochTokens:
         dyn.compact()
         compacted = kernels.cache_token(dyn)
         assert len({static, clean, dirty, compacted}) == 4
+        # Only the graph component moves: backend:shard:graph:dtype.
+        for token in (clean, dirty, compacted):
+            backend, shard, graph, dtype = token.split(":")
+            assert graph.startswith("graph-")
+            assert static == f"{backend}:{shard}:graph-static:{dtype}"
 
     def test_score_cache_keys_on_token(self):
         cache = ScoreCache(4)

@@ -120,7 +120,7 @@ class TestNumpyFallbackBitwise:
 
 
 # The interpreted-twin fixture ``numba_source_namespace`` lives in
-# conftest.py now — the tiling/top-k suite uses it too.
+# conftest.py now — the top-k suite uses it too.
 
 
 class TestCompiledKernelLogic:
@@ -320,11 +320,16 @@ class TestForcedFallback:
 class TestComputeDtypePolicy:
     def test_default_is_float64(self):
         assert kernels.compute_dtype() is np.float64
-        assert kernels.cache_token().endswith(":float64")
+        # backend:shard:graph:dtype — nothing else is a tier.
+        assert kernels.cache_token().split(":") == [
+            kernels.get_backend(), "shard-none", "graph-static", "float64",
+        ]
 
     def test_float32_opt_in_changes_result_dtype(self, small_community):
+        double = kernels.cache_token()
         kernels.set_compute_dtype("float32")
         assert kernels.cache_token().endswith(":float32")
+        assert kernels.cache_token().split(":")[:3] == double.split(":")[:3]
         result = cpi(small_community, 3)
         assert result.scores.dtype == np.float32
 

@@ -376,7 +376,14 @@ class TestServingIntegration:
         phase = families["repro_phase_seconds"]
         phase_labels = {key[0] for key in phase.children()}
         assert {"queue", "dispatch", "select"} <= phase_labels
-        assert families["repro_queries_served_total"].value >= 12
+        served = families["repro_queries_served_total"]
+        assert served.value >= 12
+        # Engine.serve counts into the same family, once per row.
+        engine = Engine(TPA(s_iteration=4, t_iteration=8), small_community)
+        before = served.value
+        engine.serve(np.arange(5), k=3)
+        assert engine.stats()["queries_served"] == 5
+        assert served.value == before + 5
         # The whole registry round-trips the strict parser.
         parsed = obs_metrics.parse_prometheus_text(
             obs_metrics.get_registry().expose()

@@ -1,5 +1,8 @@
 """Package-level tests: public API surface, exceptions, version."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -105,3 +108,18 @@ class TestDocstrings:
                 attr = getattr(cls, attr_name)
                 if callable(attr):
                     assert attr.__doc__, f"{cls.__name__}.{attr_name}"
+
+
+class TestKnobInventory:
+    def test_readme_table_lists_every_environment_knob(self):
+        """Every ``REPRO_*`` name ``src/`` mentions has a row in README's
+        "Kernel layer and environment knobs" table, and no row outlives
+        its knob."""
+        root = Path(__file__).resolve().parents[1]
+        in_source = set()
+        for path in (root / "src").rglob("*.py"):
+            in_source.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        rows = re.findall(
+            r"^\| `(REPRO_[A-Z_]+)` \|", (root / "README.md").read_text(), re.M
+        )
+        assert sorted(rows) == sorted(in_source)

@@ -147,15 +147,6 @@ class TestShardPlan:
         frontier = set(starts.tolist())
         assert any(cut in frontier for cut in plan.boundaries[1:-1].tolist())
 
-    def test_row_tiling_compatible(self, small_community):
-        ordering = slashburn(small_community)
-        plan = ShardPlan.from_slashburn(ordering, 3)
-        tiling = plan.row_tiling(tile_height=32)
-        shard_cuts = set(plan.boundaries.tolist())
-        tile_cuts = set(tiling.boundaries.tolist())
-        assert shard_cuts <= tile_cuts  # tiles never straddle shards
-        assert tiling.num_rows == plan.num_rows
-
     def test_explicit_plan_num_shards_conflict(self, served_method):
         engine = Engine(served_method)
         plan = ShardPlan.uniform(served_method.graph.num_nodes, 3)
@@ -602,9 +593,13 @@ class TestCacheTokenShardComponent:
         assert ":shard-none:" in kernels.cache_token()
 
     def test_annotation_appears_in_token(self):
+        plain = kernels.cache_token()
         previous = kernels.set_shard_annotation("1/4")
         try:
             assert ":shard-1/4:" in kernels.cache_token()
+            assert kernels.cache_token() == plain.replace(
+                ":shard-none:", ":shard-1/4:"
+            )
         finally:
             kernels.set_shard_annotation(previous)
         assert ":shard-none:" in kernels.cache_token()

@@ -1,38 +1,25 @@
-"""The blocked ranking pipeline: hub-aware tiled SpMM + fused top-k.
+"""The blocked ranking pipeline: panel transposition + fused top-k.
 
 Contracts asserted here:
 
-* ``spmm_tiled`` is **bitwise identical** to ``spmm`` on the numpy
-  backend for arbitrary tilings (property-tested), and the compiled
-  tiled kernel — run as its interpreted twin — reproduces ``A @ x``
-  exactly too;
+* ``rows_from_panel`` equals the contiguous transpose and hands a fused
+  epilogue every row exactly once;
 * ``select_top_k_many`` matches the looped ``select_top_k`` reference
   including ban masks and tie ordering, on both the numpy fallback and
   the (interpreted / compiled) bounded-heap kernel;
-* ``row_tiling`` produces well-formed, hub-pinned, block-aligned
-  boundaries and the configuration knobs (``REPRO_KERNEL_TILE`` /
-  ``set_tile_rows``) reach ``cache_token``;
 * the Engine's streamed top-k paths (``batch`` column blocks, chunked
-  ``serve``) return exactly what the materialized paths return, and
-  a SlashBurn reordering attaches a tiling to the serving graph.
+  ``serve``) return exactly what the materialized paths return, also
+  under a SlashBurn reordering.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import kernels
 from repro.engine import Engine, QueryRequest, create_method
-from repro.exceptions import GraphFormatError, ParameterError
-from repro.kernels import (
-    RowTiling,
-    row_tiling,
-    select_top_k,
-    select_top_k_many,
-    set_tile_rows,
-)
-from repro.kernels import tiling as tiling_module
+from repro.exceptions import ParameterError
+from repro.kernels import select_top_k, select_top_k_many
 from repro.method import banned_mask, banned_mask_many
 
 _SETTINGS = settings(
@@ -40,90 +27,6 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_tile_policy():
-    """The tile height is process-global; never leak it between tests."""
-    before = tiling_module._tile_rows
-    yield
-    tiling_module._tile_rows = before
-
-
-def _random_csr(rng: np.random.Generator, rows: int, cols: int, density: float):
-    matrix = sp.random_array(
-        (rows, cols), density=density, format="csr", rng=rng,
-        data_sampler=lambda size: rng.standard_normal(size),
-    )
-    return sp.csr_array(matrix)
-
-
-class TestRowTiling:
-    def test_boundaries_partition_the_rows(self):
-        tiling = row_tiling(1000, num_hubs=37, tile_height=100)
-        bounds = tiling.boundaries
-        assert bounds[0] == 0 and bounds[-1] == 1000
-        assert (np.diff(bounds) > 0).all()
-        assert (np.diff(bounds) <= 100).all()
-        # The hub/spoke frontier is always a tile boundary.
-        assert 37 in bounds
-
-    def test_block_alignment_prefers_block_frontiers(self):
-        starts = np.array([20, 180, 260, 430])
-        tiling = row_tiling(
-            500, num_hubs=20, tile_height=100, block_starts=starts
-        )
-        # Every block start within reach became a cut; no tile exceeds
-        # the height.
-        for cut in (20, 180, 260):
-            assert cut in tiling.boundaries
-        assert (np.diff(tiling.boundaries) <= 100).all()
-
-    def test_oversized_blocks_are_split(self):
-        tiling = row_tiling(
-            400, num_hubs=0, tile_height=50,
-            block_starts=np.array([300]),  # one 300-row block
-        )
-        assert (np.diff(tiling.boundaries) <= 50).all()
-        assert 300 in tiling.boundaries
-
-    def test_all_hubs_and_single_tile_edges(self):
-        assert row_tiling(10, num_hubs=10, tile_height=4).num_rows == 10
-        assert row_tiling(10, tile_height=1000).num_tiles == 1
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ParameterError):
-            row_tiling(0)
-        with pytest.raises(ParameterError):
-            row_tiling(10, num_hubs=11)
-        with pytest.raises(ParameterError):
-            row_tiling(10, tile_height=0)
-        with pytest.raises(ParameterError):
-            RowTiling(boundaries=np.array([0, 5, 5, 10]))
-        with pytest.raises(ParameterError):
-            RowTiling(boundaries=np.array([1, 10]))
-
-    def test_tile_rows_config_roundtrip(self):
-        previous = set_tile_rows(512)
-        try:
-            assert kernels.tile_rows() == 512
-            assert "tile-512" in kernels.cache_token()
-        finally:
-            set_tile_rows(previous)
-        set_tile_rows(None)
-        assert kernels.tile_rows() == kernels.DEFAULT_TILE_ROWS
-        assert "tile-auto" in kernels.cache_token()
-        with pytest.raises(ParameterError):
-            set_tile_rows(0)
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TILE", "2048")
-        assert tiling_module._resolve_env_tile() == 2048
-        monkeypatch.setenv("REPRO_KERNEL_TILE", "auto")
-        assert tiling_module._resolve_env_tile() is None
-        monkeypatch.setenv("REPRO_KERNEL_TILE", "banana")
-        with pytest.warns(UserWarning, match="REPRO_KERNEL_TILE"):
-            assert tiling_module._resolve_env_tile() is None
 
 
 class TestRowsFromPanel:
@@ -157,62 +60,8 @@ class TestRowsFromPanel:
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
 
-class TestTiledSpmmNumpyBitwise:
-    """Tiled == untiled, bit for bit, on the fallback backend."""
-
-    @_SETTINGS
-    @given(
-        rows=st.integers(1, 120),
-        cols=st.integers(1, 80),
-        density=st.floats(0.0, 0.5),
-        batch=st.integers(1, 7),
-        height=st.integers(1, 140),
-        hub_fraction=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_bitwise_identical_to_spmm(
-        self, rows, cols, density, batch, height, hub_fraction, seed
-    ):
-        previous = kernels.set_backend("numpy")
-        try:
-            rng = np.random.default_rng(seed)
-            matrix = _random_csr(rng, rows, cols, density)
-            x = rng.standard_normal((cols, batch))
-            tiling = row_tiling(
-                rows, num_hubs=int(hub_fraction * rows), tile_height=height
-            )
-            np.testing.assert_array_equal(
-                kernels.spmm_tiled(matrix, x, tiling=tiling),
-                kernels.spmm(matrix, x),
-            )
-        finally:
-            kernels.set_backend(previous)
-
-    def test_out_buffer_and_row_mismatch(self, rng):
-        matrix = _random_csr(np.random.default_rng(0), 30, 30, 0.2)
-        x = rng.random((30, 4))
-        out = np.full((30, 4), np.nan)
-        np.testing.assert_array_equal(
-            kernels.spmm_tiled(matrix, x, out=out), matrix @ x
-        )
-        with pytest.raises(ParameterError, match="tiling covers"):
-            kernels.spmm_tiled(matrix, x, tiling=row_tiling(29))
-
-
 class TestInterpretedCompiledKernels:
     """The numba kernels, exec'd as plain Python (see conftest)."""
-
-    def test_tiled_spmm_matches_scipy_bitwise(self, numba_source_namespace):
-        rng = np.random.default_rng(7)
-        for dtype in (np.float64, np.float32):
-            matrix = _random_csr(rng, 90, 90, 0.2).astype(dtype)
-            x = np.ascontiguousarray(rng.random((90, 5)).astype(dtype))
-            out = np.empty((90, 5), dtype)
-            bounds = row_tiling(90, num_hubs=11, tile_height=17).boundaries
-            numba_source_namespace["_spmm_tiled"](
-                matrix.indptr, matrix.indices, matrix.data, x, out, bounds
-            )
-            np.testing.assert_array_equal(out, matrix @ x)
 
     @_SETTINGS
     @given(
@@ -319,25 +168,6 @@ class TestSelectTopKMany:
 class TestCompiledBackendAgreement:
     """The compiled kernels through the public dispatchers."""
 
-    def test_spmm_tiled_close_to_fallback(self):
-        rng = np.random.default_rng(0)
-        matrix = _random_csr(rng, 200, 200, 0.1)
-        x = rng.standard_normal((200, 8))
-        tiling = row_tiling(200, num_hubs=23, tile_height=31)
-        previous = kernels.set_backend("numpy")
-        try:
-            reference = kernels.spmm_tiled(matrix, x, tiling=tiling)
-            kernels.set_backend("numba")
-            np.testing.assert_allclose(
-                kernels.spmm_tiled(matrix, x, tiling=tiling), reference,
-                rtol=0, atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                kernels.spmm(matrix, x), reference, rtol=0, atol=1e-12
-            )
-        finally:
-            kernels.set_backend(previous)
-
     def test_select_top_k_many_matches_looped(self):
         rng = np.random.default_rng(1)
         scores = rng.integers(0, 9, size=(16, 300)).astype(np.float64)
@@ -351,47 +181,6 @@ class TestCompiledBackendAgreement:
             picks = select_top_k(scores[row], 40, banned[row])
             np.testing.assert_array_equal(result[row, : picks.size], picks)
             assert (result[row, picks.size:] == -1).all()
-
-
-class TestGraphTiling:
-    def test_attached_tiling_is_bitwise_neutral(self, small_community, rng):
-        x = rng.random((small_community.num_nodes, 6))
-        plain = small_community.propagate(x)
-        decayed = small_community.propagate_decayed(x, 0.85)
-        small_community.set_spmm_tiling(
-            row_tiling(small_community.num_nodes, num_hubs=40, tile_height=64)
-        )
-        try:
-            assert small_community.spmm_tiling is not None
-            np.testing.assert_array_equal(small_community.propagate(x), plain)
-            np.testing.assert_array_equal(
-                small_community.propagate_decayed(x, 0.85), decayed
-            )
-        finally:
-            small_community.set_spmm_tiling(None)
-        assert small_community.spmm_tiling is None
-
-    def test_wrong_size_tiling_rejected(self, small_community):
-        with pytest.raises(GraphFormatError, match="tiling covers"):
-            small_community.set_spmm_tiling(row_tiling(7))
-
-    def test_reordering_builds_hub_aligned_tiling(self, medium_community):
-        reordering = kernels.locality_reordering(medium_community)
-        tiling = reordering.spmm_tiling(tile_height=100)
-        assert tiling.num_hubs == reordering.num_hubs
-        assert tiling.boundaries[-1] == medium_community.num_nodes
-        if 0 < reordering.num_hubs < medium_community.num_nodes:
-            assert reordering.num_hubs in tiling.boundaries
-        assert (np.diff(tiling.boundaries) <= 100).all()
-        # Interior cuts of the spoke region land on block frontiers
-        # whenever any frontier was within reach of the tile height.
-        spoke_cuts = tiling.boundaries[
-            (tiling.boundaries > reordering.num_hubs)
-            & (tiling.boundaries < medium_community.num_nodes)
-        ]
-        frontiers = set(reordering.block_starts.tolist())
-        if frontiers and spoke_cuts.size:
-            assert any(int(cut) in frontiers for cut in spoke_cuts)
 
 
 class TestBannedMasks:
@@ -527,17 +316,11 @@ class TestEngineStreaming:
         with pytest.raises(ParameterError, match="stream_block"):
             engines(stream_block=0)
 
-    def test_reorder_attaches_tiling_and_streams(self, medium_community):
+    def test_reordered_engine_streams(self, medium_community):
         engine = Engine(
             create_method("tpa", s_iteration=4, t_iteration=8),
             medium_community, reorder="slashburn", stream_block=6,
         )
-        assert engine.method.graph.spmm_tiling is not None
-        assert engine.method.graph.spmm_tiling.num_hubs == (
-            engine.reordering.num_hubs
-        )
-        # The original graph never carries the serving tiling.
-        assert medium_community.spmm_tiling is None
         requests = [QueryRequest(seed=s, k=8) for s in range(20)]
         streamed = engine.batch(requests)
         reference = Engine(

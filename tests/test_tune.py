@@ -53,16 +53,11 @@ from repro.tune.profile import PROFILE_SCHEMA
 @pytest.fixture(autouse=True)
 def isolated_tune_state(monkeypatch, tmp_path):
     """Every test gets its own profile cache and leaves the process-global
-    kernel knobs (tile height, thread count) as it found them."""
+    kernel knob (thread count) as it found it."""
     monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune-cache"))
-    monkeypatch.delenv("REPRO_KERNEL_TILE", raising=False)
     monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
-    from repro.kernels import tiling
-
-    tile = tiling._tile_rows
     threads = kernels.kernel_threads()
     yield
-    kernels.set_tile_rows(tile)
     kernels.set_num_threads(threads)
 
 
@@ -74,7 +69,6 @@ def probe_graph():
 def _measurements(**overrides):
     """A synthetic probe result with a known-best cell per grid."""
     base = {
-        "spmm_tile_seconds": {"1024": 3.0, "4096": 1.0, "16384": 2.0},
         # Per-column cost: 64 wins (0.9/64 < 0.5/32 < 2.4/128).
         "spmm_block_seconds": {"32": 0.5, "64": 0.9, "128": 2.4},
         "spmm_thread_seconds": {"1": 4.0, "2": 1.5, "4": 2.0},
@@ -131,14 +125,13 @@ class TestMachineFingerprint:
 class TestProbe:
     def test_measurements_on_live_graph(self, probe_graph):
         result = probe_measurements(
-            probe_graph, tile_grid=(1024,), block_grid=(16, 32), repeats=1
+            probe_graph, block_grid=(16, 32), repeats=1
         )
         assert result["graph"]["nodes"] == probe_graph.num_nodes
         assert result["graph"]["scaled_standin"] is False
         assert result["spmv_seconds"] > 0
         assert result["topk_seconds"] > 0
         assert set(result["spmm_block_seconds"]) == {"16", "32"}
-        assert set(result["spmm_tile_seconds"]) == {"1024"}
         assert all(v > 0 for v in result["spmm_block_seconds"].values())
 
     def test_thread_sweep_runs_on_every_backend(self, probe_graph):
@@ -147,7 +140,7 @@ class TestProbe:
         )
         before = kernels.kernel_threads()
         result = probe_measurements(
-            probe_graph, tile_grid=(1024,), block_grid=(16,), repeats=1,
+            probe_graph, block_grid=(16,), repeats=1,
             fingerprint=two_cores,
         )
         sweep = result["spmm_thread_seconds"]
@@ -161,14 +154,14 @@ class TestProbe:
     def test_synthetic_graph_when_none_given(self):
         result = probe_measurements(
             None, nodes=500, avg_degree=6,
-            tile_grid=(1024,), block_grid=(16,), repeats=1,
+            block_grid=(16,), repeats=1,
         )
         assert result["graph"]["nodes"] == 500
 
     def test_measurements_json_serializable(self):
         result = probe_measurements(
             None, nodes=400, avg_degree=6,
-            tile_grid=(1024,), block_grid=(16,), repeats=1,
+            block_grid=(16,), repeats=1,
         )
         json.dumps(result)
 
@@ -176,7 +169,6 @@ class TestProbe:
 class TestDeriveProfile:
     def test_picks_fastest_cells(self):
         profile = derive_profile(_fingerprint(), _measurements(), 1.0)
-        assert profile.tile_rows == 4096
         assert profile.stream_block == 64  # per-column argmin, not total
         assert profile.max_batch == 64
 
@@ -215,7 +207,6 @@ class TestDeriveProfile:
         profile = derive_profile(_fingerprint(), {}, 0.0)
         assert profile.stream_block == 128
         assert profile.kernel_threads is None
-        assert profile.tile_rows > 0
 
 
 class TestProfileCache:
@@ -224,6 +215,12 @@ class TestProfileCache:
         path = profile.save()
         assert path == cache_path(_fingerprint())
         assert TuneProfile.load(path) == profile
+        # A file cached before the tile knob was deleted still loads:
+        # the stale key is simply not read.
+        stale = dict(profile.to_dict(), tile_rows=4096)
+        assert TuneProfile.from_dict(stale) == profile
+        path.write_text(json.dumps(stale))
+        assert load_cached(_fingerprint()) == profile
 
     def test_schema_mismatch_rejected(self):
         payload = derive_profile(_fingerprint(), _measurements(), 1.0).to_dict()
@@ -248,8 +245,7 @@ class TestProfileCache:
 
     def test_autotune_reads_cache_on_second_call(self):
         kwargs = dict(
-            nodes=400, avg_degree=6, tile_grid=(1024,),
-            block_grid=(16,), repeats=1,
+            nodes=400, avg_degree=6, block_grid=(16,), repeats=1,
         )
         first = autotune(**kwargs)
         assert cache_path(first.fingerprint).exists()
@@ -261,7 +257,7 @@ class TestProfileCache:
     def test_autotune_save_false_leaves_no_file(self):
         profile = autotune(
             save=False, nodes=400, avg_degree=6,
-            tile_grid=(1024,), block_grid=(16,), repeats=1,
+            block_grid=(16,), repeats=1,
         )
         assert not cache_path(profile.fingerprint).exists()
 
@@ -270,18 +266,16 @@ class TestApplyPrecedence:
     def test_apply_sets_global_knobs(self):
         profile = derive_profile(_fingerprint(), _measurements(), 1.0)
         applied = profile.apply()
-        assert applied["tile_rows"] == 4096
-        assert kernels.tile_rows() == 4096
+        assert applied == {"kernel_threads": 2}
+        assert kernels.kernel_threads() == 2
 
     def test_env_variable_beats_profile(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TILE", "2048")
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
-        before = kernels.tile_rows()
+        before = kernels.kernel_threads()
         profile = derive_profile(_fingerprint(), _measurements(), 1.0)
         applied = profile.apply()
-        assert applied["tile_rows"] == "env-override"
         assert applied["kernel_threads"] == "env-override"
-        assert kernels.tile_rows() == before
+        assert kernels.kernel_threads() == before
 
     def test_explicit_engine_argument_beats_profile(self, probe_graph):
         profile = derive_profile(_fingerprint(), _measurements(), 1.0)
@@ -455,7 +449,6 @@ class TestThreadCountBitwiseInvariance:
         rng = np.random.default_rng(3)
         mat = rng.random((n, 16)).astype(dtype)
         vec = np.ascontiguousarray(mat[:, 0])
-        tiling = kernels.row_tiling(n, tile_height=96)
 
         def compute():
             supplied = np.full((n, 16), np.nan, dtype=dtype)
@@ -464,7 +457,6 @@ class TestThreadCountBitwiseInvariance:
                 kernels.spmv(operator, vec),
                 kernels.spmm(operator, mat),
                 supplied,
-                kernels.spmm_tiled(operator, mat, tiling=tiling),
             )
 
         first, *rest = self._at_each_count(compute)
@@ -486,13 +478,11 @@ class TestThreadCountBitwiseInvariance:
             sp.csr_array((rows, 30), dtype=np.float64),
         ):
             mat = rng.random((30, 4))
-            tiling = kernels.row_tiling(rows, tile_height=2)
 
             def compute():
                 return (
                     kernels.spmv(matrix, mat[:, 0].copy()),
                     kernels.spmm(matrix, mat),
-                    kernels.spmm_tiled(matrix, mat, tiling=tiling),
                 )
 
             first, *rest = self._at_each_count(compute)
@@ -551,14 +541,29 @@ class TestThreadCountBitwiseInvariance:
         rows=st.integers(1, 24), cols=st.integers(1, 24),
         width=st.integers(1, 5), density=st.floats(0.0, 0.6),
         threads=st.sampled_from(_THREAD_COUNTS), seed=st.integers(0, 2**16),
+        heavy_tail=st.booleans(),
     )
     def test_spmm_matches_operator_product(
-        self, rows, cols, width, density, threads, seed
+        self, rows, cols, width, density, threads, seed, heavy_tail
     ):
         rng = np.random.default_rng(seed)
-        matrix = sp.csr_array(sp.random_array(
-            (rows, cols), density=density, format="csr", rng=rng,
-        ))
+        if heavy_tail:
+            # Zipf row degrees: a few rows hold most nonzeros and many
+            # hold none, so nnz-balanced cuts coincide and the empty
+            # stripes between them are dropped.
+            degrees = np.minimum(rng.zipf(1.5, rows) - 1, cols)
+            indptr = np.concatenate([[0], np.cumsum(degrees)])
+            indices = np.concatenate(
+                [np.sort(rng.choice(cols, d, replace=False)) for d in degrees]
+            )
+            matrix = sp.csr_array(
+                (rng.standard_normal(indices.size), indices, indptr),
+                shape=(rows, cols),
+            )
+        else:
+            matrix = sp.csr_array(sp.random_array(
+                (rows, cols), density=density, format="csr", rng=rng,
+            ))
         mat = rng.standard_normal((cols, width))
         kernels.set_num_threads(threads)
         got = kernels.spmm(matrix, mat)
@@ -586,7 +591,7 @@ class TestPinnedBitwiseInvariance:
     def test_tuned_server_matches_serial_batch(self, small_community):
         profile = autotune(
             save=False, nodes=400, avg_degree=6,
-            tile_grid=(1024,), block_grid=(16,), repeats=1,
+            block_grid=(16,), repeats=1,
         )
         method = create_method("tpa", s_iteration=4, t_iteration=8)
         engine = Engine(
