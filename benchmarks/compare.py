@@ -1,330 +1,116 @@
-#!/usr/bin/env python
-"""Perf-regression gate over the ``BENCH_kernels.json`` trajectory.
+#!/usr/bin/env python3
+"""Regression check of a change's ladder results against its parent's.
 
-The trajectory file is append-only JSON-lines: one measured entry per
-run, stamped with the machine fingerprint, kernel backend, compute
-dtype, and graph shape.  Entries are only comparable *within* a group
-sharing all four — a CI runner's numbers say nothing about the
-authoring container's — so this gate:
+    python3 benchmarks/compare.py --parent P1.json ... --change C1.json ...
 
-1. groups entries by ``(machine fingerprint, backend, dtype, graph,
-   batch)``;
-2. for each candidate entry, takes the trailing baseline — the
-   **median of the last K comparable entries** (default 5) preceding
-   it, metric by metric (the median absorbs one noisy run without
-   hiding a trend);
-3. computes the relative delta for every gated metric, honoring its
-   direction — ``*_per_second``/``*_speedup`` must not drop,
-   ``*_ms``/``*_seconds`` must not grow;
-4. exits non-zero when any delta is worse than ``--threshold``
-   (default 15%).
-
-No comparable baseline (first entry of a group, a fresh CI runner) is
-a **skip, loudly**: the gate prints a notice and exits 0 — an
-unmatched fingerprint must not fail the build, and must not silently
-pass as "compared".
-
-Usage::
-
-    python benchmarks/compare.py                        # gate the trajectory's own tail
-    python benchmarks/compare.py --candidate fresh.json # gate freshly recorded entries
-    python benchmarks/compare.py --json > report.json   # machine-readable report
-
-Exit codes: 0 ok/skipped, 1 regression detected, 2 bad input.
+Each file is one ``benchmarks/ladder/run.py --out`` result; run parent and
+change alternately.  Per end-to-end metric of ``BENCHMARK.json`` and per
+workload this prints both medians [quartiles] and the *shift*, the share
+by which the change's median is worse.  A shift beyond the metric's bound
+is a regression, except that the row reads **unresolved** when the
+parent's own spread (IQR over median) exceeds the bound.  Runs compare
+only when ``env.machine``, ``backend``, ``dtype`` and ``nproc`` match;
+otherwise there is a notice and no verdict.  Exit 1 on a resolved
+regression, 2 on malformed input, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_INPUT = REPO_ROOT / "BENCH_kernels.json"
-COMPARE_SCHEMA = "repro-bench-compare/1"
-
-DEFAULT_THRESHOLD = 0.15
-DEFAULT_WINDOW = 5
-
-#: Metric-name prefixes the gate watches by default: end-to-end and
-#: serving-stack throughput/latency.  Kernel-level seconds are noisy at
-#: micro scale and already tracked by the recorded speedup ratios.
-DEFAULT_PREFIXES = (
-    "queries_per_second",
-    "topk_queries_per_second",
-    "serving_",
-    "sharded_",
-    "updates_",
+_spec = importlib.util.spec_from_file_location(
+    "ladder_run", Path(__file__).resolve().parent / "ladder" / "run.py"
 )
-
-#: Fingerprint fields that decide comparability.  ``affinity``/``numa``
-#: are folded in deliberately: a 1-core container and a 4-core runner
-#: on the same CPU model are different machines for throughput.
-_MACHINE_FIELDS = (
-    "cpu_model",
-    "cpu_count",
-    "affinity",
-    "numa",
-    "cgroup_quota",
-    "backend",
-    "dtype",
-    "numba_version",
-    "numpy_version",
-)
+ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)
 
 
-def load_entries(path: Path) -> list[dict]:
-    """Parse a JSON-lines trajectory file (one object per line)."""
-    entries: list[dict] = []
-    text = path.read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}:{lineno}: not JSON ({error})") from error
-        if isinstance(entry, dict):
-            entries.append(entry)
-    return entries
-
-
-def group_key(entry: dict) -> str | None:
-    """The comparability key, or ``None`` for entries too old to carry
-    a machine fingerprint (they predate PR 7 and are never gated)."""
-    machine = entry.get("machine")
-    if not isinstance(machine, dict):
+def fingerprint(run: dict) -> str | None:
+    """What must match for two runs to compare; ``None`` when unstamped."""
+    env = run.get("env") or {}
+    if "machine" not in env:
         return None
-    graph = entry.get("graph") if isinstance(entry.get("graph"), dict) else {}
-    return json.dumps(
-        {
-            "machine": {f: machine.get(f) for f in _MACHINE_FIELDS},
-            "backend": entry.get("backend"),
-            "dtype": entry.get("compute_dtype"),
-            "graph": {
-                f: graph.get(f)
-                for f in ("kind", "nodes", "edges", "avg_degree")
-            },
-            "batch": entry.get("batch"),
-        },
-        sort_keys=True,
-    )
+    return json.dumps([env["machine"], env.get("backend"), env.get("dtype"),
+                       env.get("nproc")], sort_keys=True)
 
 
-def metric_direction(name: str) -> str | None:
-    """``"higher"``/``"lower"``-is-better, or ``None`` for ungated
-    fields (counters, shapes, identifiers)."""
-    if "per_second" in name or name.endswith("_speedup"):
-        return "higher"
-    if name.endswith("_ms") or name.endswith("_seconds"):
-        return "lower"
-    return None
+def load(paths: list[str]) -> dict[str, list[dict]]:
+    """The untraced runs of the given result files, by workload."""
+    runs: dict[str, list[dict]] = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            for run in json.load(handle)["runs"]:
+                if not run["trace"]:
+                    runs.setdefault(run["workload"], []).append(run)
+    return runs
 
 
-def compare_entry(
-    candidate: dict,
-    pool: list[dict],
-    *,
-    window: int = DEFAULT_WINDOW,
-    threshold: float = DEFAULT_THRESHOLD,
-    prefixes: tuple[str, ...] = DEFAULT_PREFIXES,
-) -> dict:
-    """Gate one candidate entry against its trailing baseline."""
-    key = group_key(candidate)
-    comparable = (
-        [entry for entry in pool if group_key(entry) == key]
-        if key is not None
-        else []
-    )
-    baseline_pool = comparable[-window:]
-    metrics: list[dict] = []
-    for name in sorted(candidate):
-        value = candidate[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        if not any(name.startswith(prefix) for prefix in prefixes):
-            continue
-        direction = metric_direction(name)
-        if direction is None:
-            continue
-        baseline_values = [
-            entry[name]
-            for entry in baseline_pool
-            if isinstance(entry.get(name), (int, float))
-            and not isinstance(entry.get(name), bool)
-        ]
-        if not baseline_values:
-            continue
-        baseline = statistics.median(baseline_values)
-        if baseline <= 0:
-            continue
-        delta = (value - baseline) / baseline
-        regressed = (
-            delta < -threshold if direction == "higher" else delta > threshold
-        )
-        metrics.append(
-            {
-                "metric": name,
-                "direction": direction,
-                "baseline": baseline,
-                "baseline_entries": len(baseline_values),
-                "candidate": value,
-                "delta": delta,
-                "regressed": regressed,
-            }
-        )
-    return {
-        "commit": candidate.get("commit"),
-        "recorded_at": candidate.get("recorded_at"),
-        "backend": candidate.get("backend"),
-        "fingerprint_matched": bool(baseline_pool),
-        "baseline_entries": len(baseline_pool),
-        "metrics": metrics,
-        "regressions": [row for row in metrics if row["regressed"]],
-    }
+def noise(values: list[float]) -> float:
+    """The parent's spread; infinite when one run cannot estimate it."""
+    return ladder.spread(values) if len(values) > 1 else math.inf
 
 
-def _format_row(row: dict) -> str:
-    arrow = "↑" if row["direction"] == "higher" else "↓"
-    status = "REGRESSED" if row["regressed"] else "ok"
-    return (
-        f"  {row['metric']:<44} {arrow} "
-        f"{row['baseline']:>12.3f} -> {row['candidate']:>12.3f} "
-        f"({row['delta']:+7.1%})  {status}"
-    )
+def summary(values: list[float]) -> str:
+    low, high = (statistics.quantiles(values, n=4)[::2] if len(values) > 1
+                 else values * 2)
+    return f"{statistics.median(values):.6g} [{low:.6g}, {high:.6g}]"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Fail when the perf trajectory regresses past a "
-        "threshold (fingerprint-matched entries only)"
-    )
-    parser.add_argument(
-        "--input", type=Path, default=DEFAULT_INPUT,
-        help=f"trajectory file, JSON-lines (default {DEFAULT_INPUT})",
-    )
-    parser.add_argument(
-        "--candidate", type=Path, default=None,
-        help="entries to gate (JSON-lines, e.g. a CI-recorded artifact); "
-        "default: the trajectory's own last entry vs its predecessors",
-    )
-    parser.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW,
-        help="trailing comparable entries the baseline median spans "
-        f"(default {DEFAULT_WINDOW})",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
-        help="relative delta that fails the gate "
-        f"(default {DEFAULT_THRESHOLD:.2f} = 15%%)",
-    )
-    parser.add_argument(
-        "--metrics", default=",".join(DEFAULT_PREFIXES),
-        help="comma-separated metric-name prefixes to gate",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the full report as JSON on stdout",
-    )
+def table(parent: dict, change: dict) -> int:
+    """Print one row per (metric, workload); return the regressions."""
+    regressions = 0
+    print(f"{'metric':<13} {'workload':<14} {'parent median [q1, q3]':<36} "
+          f"{'change median [q1, q3]':<36} {'shift':>7}  bound  verdict")
+    for entry in ladder.declared()["end_to_end"]:
+        name, bound = entry["name"], entry["bound"]
+        for workload in sorted(set(parent) & set(change)):
+            before = [run["values"][name] for run in parent[workload]]
+            after = [run["values"][name] for run in change[workload]]
+            first, second = statistics.median(before), statistics.median(after)
+            shift = (0.0 if first == second
+                     else ladder.worse_by(first, second, entry["better"]))
+            if noise(before) > bound:
+                verdict = "unresolved"
+            elif shift > bound:
+                verdict, regressions = "REGRESSED", regressions + 1
+            else:
+                verdict = "ok"
+            print(f"{name:<13} {workload:<14} {summary(before):<36} "
+                  f"{summary(after):<36} {shift:>+7.3f}  {bound:<5}  {verdict}")
+    return regressions
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", nargs="+", required=True)
+    parser.add_argument("--change", nargs="+", required=True)
     args = parser.parse_args(argv)
-    if args.window < 1:
-        parser.error("--window must be at least 1")
-    if args.threshold <= 0:
-        parser.error("--threshold must be positive")
-    prefixes = tuple(
-        prefix.strip() for prefix in args.metrics.split(",") if prefix.strip()
-    )
-
     try:
-        trajectory = load_entries(args.input)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot load {args.input}: {error}", file=sys.stderr)
-        return 2
-    if args.candidate is not None:
-        try:
-            candidates = load_entries(args.candidate)
-        except (OSError, ValueError) as error:
-            print(
-                f"error: cannot load {args.candidate}: {error}",
-                file=sys.stderr,
-            )
-            return 2
-        pools = [trajectory] * len(candidates)
-    else:
-        if not trajectory:
-            print("notice: empty trajectory; nothing to gate", file=sys.stderr)
+        parent, change = load(args.parent), load(args.change)
+        prints = {fingerprint(run) for side in (parent, change)
+                  for runs in side.values() for run in runs}
+        if len(prints) != 1 or None in prints:
+            print("NOTICE: no runs, or env.machine/backend/dtype/nproc "
+                  "differ between them; no verdict", file=sys.stderr)
+            print("skipped: no comparable runs")
             return 0
-        candidates = [trajectory[-1]]
-        pools = [trajectory[:-1]]
-    if not candidates:
-        print("notice: no candidate entries; nothing to gate", file=sys.stderr)
-        return 0
-
-    results = [
-        compare_entry(
-            candidate,
-            pool,
-            window=args.window,
-            threshold=args.threshold,
-            prefixes=prefixes,
-        )
-        for candidate, pool in zip(candidates, pools)
-    ]
-    regressions = sum(len(result["regressions"]) for result in results)
-    matched = sum(1 for result in results if result["fingerprint_matched"])
-    report = {
-        "schema": COMPARE_SCHEMA,
-        "input": str(args.input),
-        "candidate": str(args.candidate) if args.candidate else None,
-        "window": args.window,
-        "threshold": args.threshold,
-        "prefixes": list(prefixes),
-        "candidates": len(results),
-        "matched": matched,
-        "regressions": regressions,
-        "results": results,
-    }
-
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for result in results:
-            header = (
-                f"candidate {result['commit'] or '?'} "
-                f"[{result['backend'] or '?'}] "
-                f"recorded {result['recorded_at'] or '?'}"
-            )
-            print(header)
-            if not result["fingerprint_matched"]:
-                print(
-                    "  notice: no comparable baseline entries (machine "
-                    "fingerprint / backend / graph unmatched) — skipped"
-                )
-                continue
-            print(
-                f"  baseline: median of last {result['baseline_entries']} "
-                "comparable entr"
-                + ("y" if result["baseline_entries"] == 1 else "ies")
-            )
-            for row in result["metrics"]:
-                print(_format_row(row))
-
+        for workload in sorted(set(parent) ^ set(change)):
+            print(f"NOTICE: {workload} has runs on one side only; skipped",
+                  file=sys.stderr)
+        regressions = table(parent, change)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
+        print(f"error: malformed ladder result: {error!r}", file=sys.stderr)
+        return 2
     if regressions:
-        print(
-            f"FAIL: {regressions} metric(s) regressed past "
-            f"{args.threshold:.0%}",
-            file=sys.stderr,
-        )
+        print(f"FAIL: {regressions} regression(s) beyond bound",
+              file=sys.stderr)
         return 1
-    if matched == 0:
-        print(
-            "notice: no candidate matched a baseline fingerprint; "
-            "gate skipped",
-            file=sys.stderr,
-        )
     return 0
 
 

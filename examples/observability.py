@@ -100,8 +100,8 @@ def main() -> None:
     queue = stats["phases"].get("queue", {"total_ms": 0.0})
     sweeps = stats["phases"].get("sweep", {"total_ms": 0.0})
     print(f"\nWhere the time went: queue {queue['total_ms']:.1f} ms vs "
-          f"sweep {sweeps['total_ms']:.1f} ms across the run — the same "
-          "split `repro serve-bench --trace trace.json` dumps for "
+          f"sweep {sweeps['total_ms']:.1f} ms across the run; "
+          "`obs.dump_traces('trace.json')` writes the spans for "
           "offline inspection with `repro obs trace trace.json`.")
     print(f"Spans retained: {len(obs.spans())} "
           f"across {len(obs.trace_ids())} traces (bounded ring buffer).")

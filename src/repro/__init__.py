@@ -56,11 +56,10 @@ compiled :func:`repro.kernels.select_top_k_many` selection fused into
 the block loop — the full ``n x batch`` score matrix never
 materializes.
 
-The measured trajectory lives in ``BENCH_kernels.json`` (one JSON object
-per line; run ``python benchmarks/record.py`` to append): compare
-``queries_per_second_batched`` across commits at matching
-``backend``/``graph`` fields, and ``spmv_seconds``/``spmm_seconds`` for
-kernel-level wins.
+Performance is measured by the benchmark ladder,
+``python3 benchmarks/ladder/run.py``: four workloads, end-to-end and
+per-layer metrics, with answer checks.  ``benchmarks/compare.py`` gates
+a change's ladder results against its parent's.
 
 Package map
 -----------
@@ -76,7 +75,7 @@ Package map
 * :mod:`repro.ranking` — reference PageRank / exact RWR solvers.
 * :mod:`repro.baselines` — BRPPR, NB_LIN, BEAR-APPROX, FORA, HubPPR, BePI.
 * :mod:`repro.serving` — concurrent serving (micro-batching ``Scheduler``,
-  ``Server`` over Engine replicas, shared ``ScoreCache``, load generator).
+  ``Server`` over Engine replicas, shared ``ScoreCache``).
 * :mod:`repro.sharding` — sharded multi-process serving (``ShardPlan``,
   shared-memory ``ShardStore``, shard workers, ``Router``,
   ``Engine.shard()``).
@@ -177,14 +176,7 @@ from repro.graph.stats import GraphStats, graph_stats
 from repro import kernels
 from repro import obs
 from repro import serving
-from repro.serving import (
-    LatencyStats,
-    LoadReport,
-    Scheduler,
-    ScoreCache,
-    Server,
-    run_closed_loop,
-)
+from repro.serving import LatencyStats, Scheduler, ScoreCache, Server
 from repro import sharding
 from repro.sharding import Router, ShardPlan, ShardedEngine
 from repro import dynamic
@@ -290,8 +282,6 @@ __all__ = [
     "Scheduler",
     "ScoreCache",
     "LatencyStats",
-    "LoadReport",
-    "run_closed_loop",
     "sharding",
     "Router",
     "ShardPlan",

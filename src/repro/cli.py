@@ -8,9 +8,7 @@ Five subcommands::
     python -m repro stats --graph edges.tsv
     python -m repro generate --dataset pokec --scale 0.5 --out pokec.tsv
     python -m repro tune --json
-    python -m repro serve-bench --nodes 20000 --workers 4 --clients 8
-    python -m repro shard-bench --nodes 20000 --shards 4 --clients 8 --tuned
-    python -m repro update-bench --nodes 20000 --workers 4 --clients 8
+    python -m repro obs trace traces.json
 
 ``query`` reads a whitespace edge list, runs the chosen method through the
 batched :class:`~repro.engine.Engine`, and prints the top-ranked nodes (in
@@ -30,23 +28,13 @@ edge list.
 :class:`~repro.tune.TuneProfile` under a hardware fingerprint — the
 second invocation reads the cache instead of re-measuring.
 
-The three benchmarks share one driver (:func:`_command_bench`) and one
-flag surface.  ``serve-bench`` stands up a
-:class:`repro.serving.Server` (worker pool of Engine replicas behind
-the micro-batching scheduler); ``shard-bench`` stands up a
-:class:`repro.sharding.Router` (shard worker processes over
-shared-memory CSR stripes behind the same scheduler); ``update-bench``
-serves over a live :class:`repro.dynamic.DynamicGraph` while a mutator
-thread applies edge-update batches.  All drive the closed-loop load
-generator and print the client-observed latency histogram plus
-p50/p95/p99 and throughput; ``--json`` additionally writes the report —
-one shared, versioned schema
-(:data:`repro.serving.metrics.REPORT_SCHEMA`) for every deployment, so
-CI's artifacts stay directly diffable.  ``--tuned [PATH]`` serves with
-a tuned profile (bare ``--tuned`` uses this machine's cached profile,
-measuring one if needed) and ``--pin`` / ``--no-pin`` controls core
-pinning; every knob the caller sets explicitly still wins over the
-profile.
+``obs`` inspects the dump files the observability layer writes —
+a metrics exposition or JSON snapshot (:mod:`repro.obs.metrics`), a
+span dump (:func:`repro.obs.trace.dump_traces`), or a sampling
+profile (:mod:`repro.obs.profile`).
+
+Load tests live in the benchmark ladder (``benchmarks/ladder/run.py``),
+not here.
 
 (The per-figure experiment harness lives under ``python -m
 repro.experiments``.)
@@ -139,144 +127,28 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="emit the profile as JSON (to stdout, or to "
                                "PATH)")
 
-    def add_bench_arguments(bench) -> None:
-        """Flags shared by all three benchmarks — one surface, one
-        driver (:func:`_command_bench`), three deployments."""
-        source = bench.add_mutually_exclusive_group(required=True)
-        source.add_argument("--graph", help="edge-list file to serve")
-        source.add_argument("--nodes", type=int,
-                            help="serve a synthetic community graph this big")
-        bench.add_argument("--avg-degree", type=int, default=16,
-                           help="synthetic graph mean degree (with --nodes)")
-        bench.add_argument("--method", choices=available_methods(),
-                           default="tpa")
-        bench.add_argument("--s-iteration", type=int, default=5)
-        bench.add_argument("--t-iteration", type=int, default=10)
-        bench.add_argument("--clients", type=int, default=4,
-                           help="closed-loop client threads")
-        bench.add_argument("--requests", type=int, default=100,
-                           help="requests per client")
-        bench.add_argument("--top", type=int, default=10,
-                           help="top-k of every request")
-        bench.add_argument("--max-batch", type=int, default=None,
-                           help="scheduler micro-batch cap "
-                                "(default: tuned profile, else 32)")
-        bench.add_argument("--max-wait-ms", type=float, default=None,
-                           help="scheduler coalescing window "
-                                "(default: tuned profile, else 2.0)")
-        bench.add_argument("--max-pending", type=int, default=1024)
-        bench.add_argument("--cache", type=int, default=0,
-                           help="shared score-cache capacity (0 = off)")
-        bench.add_argument("--seed-pool", type=int, default=256,
-                           help="distinct seeds the load generator cycles "
-                                "over")
-        bench.add_argument("--tuned", nargs="?", const="auto", default=None,
-                           metavar="PATH",
-                           help="serve with a tuned profile: bare --tuned "
-                                "loads (measuring if absent) this machine's "
-                                "cached profile, --tuned PATH loads a saved "
-                                "one; explicit flags still win")
-        bench.add_argument("--pin", action=argparse.BooleanOptionalAction,
-                           default=None,
-                           help="pin workers/shards to distinct cores "
-                                "(default: pin exactly when --tuned)")
-        bench.add_argument("--deadline-ms", type=float, default=None,
-                           help="queue deadline per request: still "
-                                "undispatched after this many ms, it fails "
-                                "fast with DeadlineExceeded")
-        bench.add_argument("--retry-attempts", type=int, default=None,
-                           help="bound client-side retries of rejected "
-                                "submissions (jittered backoff) instead of "
-                                "retrying forever")
-        bench.add_argument("--retry-backoff-ms", type=float, default=5.0,
-                           help="base backoff of --retry-attempts retries")
-        bench.add_argument("--json", dest="json_out",
-                           help="also write the report as JSON to this path")
-        bench.add_argument("--trace", dest="trace_out", metavar="PATH",
-                           help="enable request tracing for the run and "
-                                "dump the retained spans as JSON to PATH "
-                                "(inspect with 'repro obs trace PATH')")
-        bench.add_argument("--metrics-out", dest="metrics_out",
-                           metavar="PATH",
-                           help="dump the metrics registry after the run: "
-                                "Prometheus text, or a JSON snapshot when "
-                                "PATH ends in .json")
-        bench.add_argument("--profile", dest="profile_out", metavar="PATH",
-                           help="sample-profile the run (router and shard "
-                                "workers alike) and write the merged "
-                                "collapsed-stack profile to PATH — "
-                                "flamegraph.pl input, or a repro-profile/1 "
-                                "JSON snapshot when PATH ends in .json "
-                                "(inspect with 'repro obs profile PATH')")
-        bench.add_argument("--obs-port", dest="obs_port", type=int,
-                           default=None, metavar="PORT",
-                           help="serve /metrics, /health, /snapshot, "
-                                "/traces, /profile over HTTP for the "
-                                "run's duration (0 = ephemeral port)")
-
-    bench = commands.add_parser(
-        "serve-bench",
-        help="closed-loop load test of the concurrent serving stack",
-    )
-    add_bench_arguments(bench)
-    bench.add_argument("--workers", type=int, default=None,
-                       help="worker threads, one Engine replica each "
-                            "(default: tuned profile, else 2)")
-
-    shard = commands.add_parser(
-        "shard-bench",
-        help="closed-loop load test of the sharded multi-process router",
-    )
-    add_bench_arguments(shard)
-    shard.add_argument("--shards", type=int, default=None,
-                       help="shard worker processes, one row stripe each "
-                            "(default: tuned profile, else 2)")
-    shard.add_argument("--reorder",
-                       choices=("none", "slashburn", "partition"),
-                       default="slashburn",
-                       help="row ordering the shard plan cuts on")
-    shard.add_argument("--start-method", default=None,
-                       help="multiprocessing start method override")
-
-    update = commands.add_parser(
-        "update-bench",
-        help="closed-loop load test while the graph mutates underneath",
-    )
-    add_bench_arguments(update)
-    update.add_argument("--workers", type=int, default=None,
-                        help="worker threads, one Engine replica each "
-                             "(default: tuned profile, else 2)")
-    update.add_argument("--update-batch", type=int, default=8,
-                        help="edges per mutation call")
-    update.add_argument("--compact-every", type=int, default=256,
-                        help="applied mutations between compactions "
-                             "(0 = never compact, pure overlay serving)")
-    update.add_argument("--backlog", type=int, default=1024,
-                        help="max benchmark-inserted edges alive at once")
-
     obs = commands.add_parser(
         "obs",
-        help="inspect observability dumps written by the benchmarks",
+        help="inspect observability dumps (metrics, traces, profiles)",
     )
     obs_kinds = obs.add_subparsers(dest="obs_command", required=True)
     obs_metrics_cmd = obs_kinds.add_parser(
         "metrics",
-        help="summarize a metrics dump (--metrics-out file: Prometheus "
-             "text or JSON snapshot)",
+        help="summarize a metrics dump (Prometheus text or JSON "
+             "snapshot)",
     )
     obs_metrics_cmd.add_argument("path", help="metrics dump file")
     obs_trace_cmd = obs_kinds.add_parser(
         "trace",
-        help="render the span trees in a trace dump (--trace file)",
+        help="render the span trees in a dump_traces() file",
     )
     obs_trace_cmd.add_argument("path", help="trace dump file (JSON)")
     obs_trace_cmd.add_argument("--trace-id", default=None,
                                help="render only this trace")
     obs_profile_cmd = obs_kinds.add_parser(
         "profile",
-        help="summarize a sampling profile (--profile file: collapsed "
-             "stacks or repro-profile/1 JSON, or a bench report with a "
-             "profile section)",
+        help="summarize a sampling profile (collapsed stacks or "
+             "repro-profile/1 JSON)",
     )
     obs_profile_cmd.add_argument("path", help="profile dump file")
     obs_profile_cmd.add_argument("--top", type=int, default=20,
@@ -357,272 +229,6 @@ def _command_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_graph(args: argparse.Namespace):
-    """The benchmark graph plus a human-readable source label."""
-    from repro.graph.generators import community_graph
-
-    if args.graph is not None:
-        graph, _ = read_edge_list(args.graph)
-        return graph, args.graph
-    graph = community_graph(
-        args.nodes, avg_degree=args.avg_degree,
-        num_communities=max(8, args.nodes // 500), seed=7,
-    )
-    return graph, f"synthetic community ({args.nodes} nodes)"
-
-
-def _bench_seed_pool(args: argparse.Namespace, num_nodes: int):
-    import numpy as np
-
-    return np.random.default_rng(0).choice(
-        num_nodes, size=min(args.seed_pool, num_nodes), replace=False,
-    )
-
-
-def _print_bench_report(args: argparse.Namespace, report, *, kind: str,
-                        config: dict, extra: dict | None = None) -> None:
-    """Render one closed-loop report: histogram, summary lines, and the
-    optional JSON document (shared schema across all three benchmarks;
-    ``extra`` fields — e.g. ``updates_*`` — merge into the document)."""
-    import json
-
-    from repro.serving.metrics import bench_report, latency_histogram
-
-    print(latency_histogram(report.latencies_ms))
-    print(f"requests        {report.requests}")
-    print(f"rejected        {report.rejected}")
-    print(f"errors          {report.errors}")
-    print(f"retries         {report.retries}")
-    print(f"deadline misses {report.deadlines_exceeded}")
-    print(f"wall seconds    {report.seconds:.3f}")
-    print(f"throughput      {report.queries_per_second:.1f} q/s")
-    print(f"latency p50     {report.latency_p50_ms:.2f} ms")
-    print(f"latency p95     {report.latency_p95_ms:.2f} ms")
-    print(f"latency p99     {report.latency_p99_ms:.2f} ms")
-    print(f"latency mean    {report.latency_mean_ms:.2f} ms")
-    stats = report.server_stats
-    print(f"queue mean      {stats['queue_mean_ms']:.2f} ms")
-    print(f"compute mean    {stats['compute_mean_ms']:.2f} ms")
-    resilience = " / ".join(
-        f"{stats.get(key, 0)} {key}"
-        for key in ("failures", "retries", "respawns", "deadlines_exceeded")
-    )
-    print(f"server faults   {resilience}")
-    cache = stats.get("cache")
-    if cache:
-        print(f"cache           {cache['hits']} hits / "
-              f"{cache['misses']} misses / {cache['evictions']} evictions")
-
-    if args.json_out:
-        document = bench_report(report, kind=kind, config=config)
-        if extra:
-            document.update(extra)
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-        print(f"wrote report to {args.json_out}")
-
-
-def _load_tuned_profile(args: argparse.Namespace):
-    """Resolve ``--tuned`` into a :class:`~repro.tune.TuneProfile`.
-
-    ``None`` when the flag is absent; bare ``--tuned`` resolves through
-    :func:`repro.tune.autotune` (cache hit, or measure-and-save);
-    ``--tuned PATH`` loads exactly that file."""
-    spec = getattr(args, "tuned", None)
-    if spec is None:
-        return None
-    from repro import tune
-    from repro.exceptions import ParameterError
-
-    if spec == "auto":
-        return tune.autotune()
-    try:
-        return tune.TuneProfile.load(spec)
-    except (OSError, ValueError, KeyError, ParameterError) as error:
-        raise SystemExit(f"cannot load tuned profile {spec!r}: {error}")
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    """The one driver behind serve-bench, shard-bench, and update-bench.
-
-    Resolves the graph, method, seed pool, and optional tuned profile;
-    stands up the deployment the subcommand names (Server, Router, or
-    Server over a :class:`~repro.dynamic.DynamicGraph`); runs the
-    closed-loop load; renders the shared report.  Knob precedence is the
-    deployments' own: explicit flag > tuned profile > static default —
-    the header and JSON config echo the *resolved* values."""
-    import os
-
-    from repro.obs import profile as obs_profile
-    from repro.obs import trace as obs_trace
-    from repro.serving import Server, run_closed_loop
-
-    kind = args.command
-    if args.trace_out:
-        # Opt the whole run (and any shard workers it spawns, via the
-        # inherited environment) into tracing before the deployment
-        # exists, so the very first request is already traced.
-        obs_trace.set_tracing(True)
-        os.environ.setdefault(obs_trace.TRACE_ENV_VAR, "1")
-    if args.profile_out:
-        # Same pattern for the profiler: the environment opt-in is what
-        # shard worker processes inherit and arm themselves from.
-        os.environ.setdefault(obs_profile.PROFILE_ENV_VAR, "1")
-        obs_profile.set_profiling(True)
-    graph, source = _bench_graph(args)
-    if kind == "update-bench":
-        from repro.dynamic import DynamicGraph
-
-        graph = DynamicGraph(graph)
-    method = create_method(args.method, **_method_params(args))
-    pool = _bench_seed_pool(args, graph.num_nodes)
-    profile = _load_tuned_profile(args)
-    client_retry = None
-    if args.retry_attempts is not None:
-        from repro.resilience import RetryPolicy
-
-        client_retry = RetryPolicy(
-            max_attempts=args.retry_attempts,
-            backoff_ms=args.retry_backoff_ms,
-        )
-
-    common = dict(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_pending=args.max_pending,
-        cache_size=args.cache,
-        tune=profile,
-        pin=args.pin,
-        obs_port=args.obs_port,
-    )
-    if kind == "shard-bench":
-        from repro.sharding import Router
-
-        deployment = Router(
-            method,
-            graph,
-            num_shards=args.shards,
-            reorder=None if args.reorder == "none" else args.reorder,
-            start_method=args.start_method,
-            **common,
-        )
-    else:
-        deployment = Server(method, graph, workers=args.workers, **common)
-
-    extra = None
-    with deployment:
-        if deployment.exporter is not None:
-            print(f"# obs endpoint  {deployment.exporter.url('/metrics')}")
-        stats = deployment.stats()
-        max_batch = stats["max_batch"]
-        max_wait_ms = stats["max_wait_ms"]
-        config = {
-            "graph": source, "nodes": graph.num_nodes,
-            "edges": graph.num_edges, "method": method.name,
-            "clients": args.clients, "requests_per_client": args.requests,
-            "top": args.top, "max_batch": max_batch,
-            "max_wait_ms": max_wait_ms, "cache": args.cache,
-            "tuned": profile is not None,
-            "deadline_ms": args.deadline_ms,
-            "retry_attempts": args.retry_attempts,
-        }
-        print(f"# graph={source} nodes={graph.num_nodes} "
-              f"edges={graph.num_edges}")
-        if kind == "shard-bench":
-            shape = f"shards={deployment.num_shards} reorder={args.reorder}"
-            pinning = stats["shards"]["pinning"]
-            config["shards"] = deployment.num_shards
-            config["reorder"] = args.reorder
-            config["shard_rows"] = stats["shards"]["shard_rows"]
-        else:
-            shape = f"workers={deployment.workers}"
-            pinning = stats.get("pinning")
-            config["workers"] = deployment.workers
-        config["pinning"] = pinning
-        print(f"# method={method.name} {shape} "
-              f"clients={args.clients} requests/client={args.requests} "
-              f"top={args.top} max_batch={max_batch} "
-              f"max_wait_ms={max_wait_ms:g} cache={args.cache}")
-        if profile is not None:
-            print(f"# tuned fingerprint={profile.fingerprint.key()} "
-                  f"stream_block={profile.stream_block} "
-                  f"kernel_threads={profile.kernel_threads} "
-                  f"pinning={pinning}")
-        if kind == "shard-bench":
-            print(f"# shard rows    {config['shard_rows']}")
-        if kind == "update-bench":
-            from repro.dynamic import run_update_bench
-
-            config.update(
-                update_batch=args.update_batch,
-                compact_every=args.compact_every,
-                backlog=args.backlog,
-            )
-            result = run_update_bench(
-                deployment,
-                graph,
-                pool,
-                k=args.top,
-                clients=args.clients,
-                requests_per_client=args.requests,
-                update_batch=args.update_batch,
-                compact_every=args.compact_every,
-                backlog=args.backlog,
-            )
-            report = result.load
-            extra = result.update_fields()
-        else:
-            report = run_closed_loop(
-                deployment,
-                pool,
-                k=args.top,
-                clients=args.clients,
-                requests_per_client=args.requests,
-                deadline_ms=args.deadline_ms,
-                retry=client_retry,
-            )
-
-    if kind == "update-bench":
-        print(f"updates applied {result.updates_applied} "
-              f"(attempted {result.updates_attempted})")
-        print(f"compactions     {result.compactions}")
-        print(f"updates/sec     {result.updates_per_second:.1f}")
-    _print_bench_report(args, report, kind=kind, config=config, extra=extra)
-    if args.trace_out:
-        retained = obs_trace.dump_traces(args.trace_out)
-        print(f"wrote {len(retained['spans'])} spans "
-              f"({len(obs_trace.trace_ids())} traces) to {args.trace_out}")
-    if args.metrics_out:
-        from repro.obs import metrics as obs_metrics
-
-        registry = obs_metrics.get_registry()
-        if args.metrics_out.endswith(".json"):
-            payload = obs_metrics.snapshot_json(indent=2) + "\n"
-        else:
-            payload = registry.expose()
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"wrote {len(registry.families())} metric families "
-              f"to {args.metrics_out}")
-    if args.profile_out:
-        import json
-
-        # Fold the local sampler's remaining epoch in; worker samples
-        # already arrived on the step replies.
-        obs_profile.stop()
-        snapshot = obs_profile.profile_snapshot()
-        if args.profile_out.endswith(".json"):
-            payload = json.dumps(snapshot, indent=2) + "\n"
-        else:
-            payload = obs_profile.collapsed()
-        with open(args.profile_out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"wrote {snapshot['samples']} profile samples "
-              f"from {len(snapshot['pids'])} process(es) "
-              f"to {args.profile_out}")
-    return 0
-
-
 def _command_tune(args: argparse.Namespace) -> int:
     import json
 
@@ -665,13 +271,13 @@ def _command_tune(args: argparse.Namespace) -> int:
 
 
 def _command_obs(args: argparse.Namespace) -> int:
-    """Inspect dump files written by ``--metrics-out`` / ``--trace``.
+    """Inspect observability dump files.
 
-    A fresh CLI process has an empty registry and span buffer, so both
-    subcommands operate on the files the benchmarks wrote rather than
-    on live state: ``metrics`` re-parses the exposition text (or JSON
-    snapshot) and prints a per-family summary; ``trace`` rebuilds and
-    renders the span trees."""
+    A fresh CLI process has an empty registry and span buffer, so every
+    subcommand operates on a file rather than on live state: ``metrics``
+    re-parses the exposition text (or JSON snapshot) and prints a
+    per-family summary; ``trace`` rebuilds and renders the span trees;
+    ``profile`` ranks the sampled stacks by self time."""
     import json
 
     from repro.obs import metrics as obs_metrics
@@ -724,17 +330,10 @@ def _command_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "profile":
         stacks: dict[str, float] = {}
         if text.lstrip().startswith("{"):
-            document = json.loads(text)
-            # Accept a repro-profile/1 snapshot directly, or a bench
-            # report carrying one under its "profile" key.
-            section = (
-                document
-                if "stacks" in document
-                else document.get("profile", {})
-            )
+            snapshot = json.loads(text)
             stacks = {
                 str(stack): float(count)
-                for stack, count in (section.get("stacks") or {}).items()
+                for stack, count in (snapshot.get("stacks") or {}).items()
             }
         else:
             for line in text.splitlines():
@@ -749,7 +348,7 @@ def _command_obs(args: argparse.Namespace) -> int:
                         f"malformed collapsed-stack line: {line!r}"
                     )
         if not stacks:
-            print("# empty profile (was REPRO_PROFILE/--profile set?)")
+            print("# empty profile (was REPRO_PROFILE set?)")
             return 0
         total = sum(stacks.values())
         pids = sorted(
@@ -809,9 +408,6 @@ def main(argv: list[str] | None = None) -> int:
         "stats": _command_stats,
         "generate": _command_generate,
         "tune": _command_tune,
-        "serve-bench": _command_bench,
-        "shard-bench": _command_bench,
-        "update-bench": _command_bench,
         "obs": _command_obs,
     }
     return handlers[args.command](args)

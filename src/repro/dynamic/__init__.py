@@ -12,9 +12,10 @@ The package layers mutability over the repo's build-once CSR world:
   whose results are bitwise identical to a from-scratch build;
 * :data:`OVERLAY_TOLERANCE` — the documented ≤1e-12 accuracy tier of
   overlay-mode (uncompacted) results, surfaced in every
-  :func:`repro.kernels.cache_token` minted against a dirty graph;
-* :func:`run_update_bench` — the sustained-updates-versus-query-latency
-  benchmark behind the ``update-bench`` CLI command.
+  :func:`repro.kernels.cache_token` minted against a dirty graph.
+
+Queries beside a live edge mutator are measured by the ``dynamic-mixed``
+workload of the benchmark ladder (``benchmarks/ladder/run.py``).
 """
 
 from repro.dynamic.graph import DynamicGraph
@@ -24,13 +25,4 @@ __all__ = [
     "DeltaOverlay",
     "DynamicGraph",
     "OVERLAY_TOLERANCE",
-    "run_update_bench",
 ]
-
-
-def run_update_bench(*args, **kwargs):
-    """Lazy alias for :func:`repro.dynamic.bench.run_update_bench`
-    (keeps ``import repro.dynamic`` free of serving imports)."""
-    from repro.dynamic.bench import run_update_bench as _run
-
-    return _run(*args, **kwargs)

@@ -24,7 +24,13 @@ from repro import kernels
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 from repro.kernels import select_top_k_many
-from repro.method import PPRMethod, banned_mask, banned_mask_many, select_top_k
+from repro.method import (
+    PPRMethod,
+    banned_mask,
+    banned_mask_many,
+    select_top_k,
+    validate_k,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -675,8 +681,8 @@ class Engine:
         # Validate the whole batch before any compute: a malformed request
         # must not waste (or half-account) a full online pass.
         for request in requests:
-            if request.k is not None and request.k < 1:
-                raise ParameterError("k must be at least 1")
+            if request.k is not None:
+                validate_k(request.k)
         seeds = self._method.validate_seeds([r.seed for r in requests])
         with self._lock:
             self._sync_epoch()
@@ -994,6 +1000,7 @@ class Engine:
         into each block — only ``block * k`` ids survive a block, so
         arbitrarily large batches serve in constant memory.
         """
+        k = validate_k(k)
         seeds_arr = self._method.validate_seeds(seeds)
         if self._reordering is not None:
             seeds_arr = self._reordering.to_reordered[seeds_arr]
@@ -1007,7 +1014,7 @@ class Engine:
                     exclude_neighbors=exclude_neighbors,
                 )
             else:
-                rankings = np.empty((seeds_arr.size, int(k)), dtype=np.int64)
+                rankings = np.empty((seeds_arr.size, k), dtype=np.int64)
                 for start in range(0, seeds_arr.size, block):
                     stop = min(start + block, seeds_arr.size)
                     rankings[start:stop] = self._method.top_k_many(

@@ -137,5 +137,5 @@ class WorkerFailure(ReproError, RuntimeError):
         return (type(self), (self.shard, self.kind, self.detail))
 
 
-class ParameterError(ReproError):
+class ParameterError(ReproError, ValueError):
     """An algorithm parameter is outside its valid domain."""

@@ -105,14 +105,13 @@ epsilon.  Caches must key on :func:`cache_token`, which names the active
 backend, shard annotation, graph generation, and compute dtype; the
 Engine's LRU does.
 
-Benchmark trajectory
---------------------
-``python benchmarks/record.py`` appends one JSON object per line to
-``BENCH_kernels.json`` at the repo root: commit, backend, dtype, graph
-size, SpMV/SpMM wall-times, and end-to-end batched queries/sec.  Compare
-the ``queries_per_second_batched`` field across commits (same
-``backend`` and ``graph`` fields) to read the perf trajectory;
-``spmm_seconds`` isolates kernel-level wins from engine-level ones.
+Measurement
+-----------
+The benchmark ladder (``python3 benchmarks/ladder/run.py --trace 1``)
+times these kernels in place — ``kernels.spmv_ms``, ``kernels.spmm_ms``
+and ``kernels.spmm_gbps`` against the host's measured triad bandwidth —
+beside the layers built on them.  ``BENCH_kernels.json`` at the repo
+root is the frozen record of the kernel trajectory before the ladder.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ from repro.exceptions import NotPreprocessedError, ParameterError
 from repro.graph.graph import Graph
 from repro.kernels import Workspace, select_top_k, select_top_k_many
 
-__all__ = ["PPRMethod", "select_top_k", "banned_mask", "banned_mask_many"]
+__all__ = [
+    "PPRMethod", "select_top_k", "banned_mask", "banned_mask_many", "validate_k",
+]
 
 #: Largest (B, n) exclusion-mask entry count drawn from the retained
 #: workspace (64 Mi entries = 64 MB of bool).  Serving loops stay under
@@ -37,6 +39,20 @@ __all__ = ["PPRMethod", "select_top_k", "banned_mask", "banned_mask_many"]
 #: of pinning batch-proportional memory — and inflating
 #: preprocessed_bytes — for the method's lifetime.
 _RANK_MASK_RETAIN_LIMIT = 1 << 26
+
+
+def validate_k(k: int | np.integer) -> int:
+    """Normalize a top-``k`` result size to a plain ``int`` of at least 1.
+
+    Every entry point that takes ``k`` checks it here.  Bools, floats and
+    other non-integer types raise :class:`ParameterError` rather than
+    being truncated (``k=2.5`` must not quietly return 2 results).
+    """
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+        raise ParameterError(f"k must be an integer, got {type(k).__name__}")
+    if k < 1:
+        raise ParameterError("k must be at least 1")
+    return int(k)
 
 
 def banned_mask(
@@ -319,8 +335,7 @@ class PPRMethod(ABC):
             Also drop the seed's existing out-neighbors — the standard
             recommendation setting where known links are not re-suggested.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = validate_k(k)
         seed = self.validate_seed(seed)
         scores = self._query(seed)
         if not (exclude_seed or exclude_neighbors):
@@ -351,12 +366,11 @@ class PPRMethod(ABC):
         buffer, so a steady serving load allocates nothing here beyond
         the ``(B, k)`` result.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = validate_k(k)
         seeds_arr = self.validate_seeds(seeds)
         scores = self.query_many(seeds_arr)
         if seeds_arr.size == 0:
-            return np.empty((0, int(k)), dtype=np.int64)
+            return np.empty((0, k), dtype=np.int64)
         banned = None
         if exclude_seeds or exclude_neighbors:
             shape = (seeds_arr.size, self.graph.num_nodes)
@@ -369,7 +383,7 @@ class PPRMethod(ABC):
                 self.graph, seeds_arr, exclude_seeds, exclude_neighbors,
                 out=out,
             )
-        return select_top_k_many(scores, int(k), banned=banned)
+        return select_top_k_many(scores, k, banned=banned)
 
     @abstractmethod
     def preprocessed_bytes(self) -> int:

@@ -1,8 +1,8 @@
 """Process-global metrics registry with Prometheus-text exposition.
 
 Three thread-safe primitives — :class:`Counter`, :class:`Gauge`, and
-:class:`Histogram` (fixed log-spaced buckets, the same geometric
-spacing ``latency_histogram`` uses for report histograms) — live
+:class:`Histogram` (fixed log-spaced buckets, because serving
+latencies are long-tailed) — live
 behind labeled *families* in a :class:`Registry`:
 
     registry = get_registry()
@@ -80,9 +80,8 @@ def set_metrics_enabled(on: bool | None) -> None:
 def default_buckets(
     low: float = 1e-4, high: float = 60.0, count: int = 20
 ) -> tuple[float, ...]:
-    """Fixed log-spaced bucket edges (seconds), mirroring the geometric
-    spacing of ``serving.metrics.latency_histogram`` but static so every
-    process exports comparable buckets."""
+    """Fixed log-spaced bucket edges (seconds), static so every process
+    exports comparable buckets."""
 
     if count < 1 or low <= 0 or high <= low:
         raise ValueError("need count >= 1 and 0 < low < high")
@@ -330,7 +329,7 @@ class Registry:
             return dict(self._families)
 
     def reset(self) -> None:
-        """Drop every family (tests and fresh bench runs)."""
+        """Drop every family (tests and fresh measurement runs)."""
 
         with self._lock:
             self._families.clear()

@@ -21,8 +21,9 @@ Gating follows the ``REPRO_METRICS`` pattern: profiling is **off** by
 default and the disabled path is a single module-bool check
 (:func:`arm` returns immediately; no thread exists, no per-event cost
 anywhere).  Enable with ``REPRO_PROFILE=1`` (inherited by worker
-processes), ``--profile PATH`` on any bench subcommand, or
-:func:`set_profiling`.
+processes) or :func:`set_profiling`; write the merged profile with
+:func:`collapsed` or :func:`profile_snapshot` and read it back with
+``python -m repro obs profile PATH``.
 
 The sampler sees Python frames.  Time spent inside a compiled kernel
 (Numba, BLAS) is attributed to the ``repro.kernels`` call site holding
@@ -318,7 +319,7 @@ def profile_snapshot() -> dict:
 
 
 def reset() -> None:
-    """Drop every collected sample (tests, fresh bench runs)."""
+    """Drop every collected sample (tests, fresh measurement runs)."""
     stop()
     with _merged_lock:
         _merged.clear()

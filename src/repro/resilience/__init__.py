@@ -25,8 +25,8 @@ worker lives forever.  This package drops that assumption:
 
 Counters (``failures`` / ``retries`` / ``respawns`` /
 ``deadlines_exceeded``) surface in
-:meth:`~repro.serving.LatencyStats.snapshot` and the
-``repro-serving-report/1`` benchmark JSON.
+:meth:`~repro.serving.LatencyStats.snapshot`, hence in
+``Server.stats()`` / ``Router.stats()`` and on ``/metrics``.
 """
 
 from repro.resilience.faults import (

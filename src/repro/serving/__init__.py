@@ -19,9 +19,10 @@ package supplies the serving layer on top of the batched engine:
   replicas;
 * admission control (:class:`~repro.exceptions.ServerOverloaded` once
   ``max_pending`` requests queue) plus :class:`LatencyStats` — per
-  request queue-time vs compute-time and p50/p95/p99 latency;
-* :func:`run_closed_loop` — the closed-loop load generator behind
-  ``python -m repro serve-bench`` and the serving benchmarks.
+  request queue-time vs compute-time and p50/p95/p99 latency.
+
+Load tests of this package (open-loop, latency from due time) live in
+the benchmark ladder, ``benchmarks/ladder/run.py``.
 
 Quickstart::
 
@@ -37,15 +38,7 @@ Quickstart::
 """
 
 from repro.serving.cache import ScoreCache
-from repro.serving.loadgen import LoadReport, run_closed_loop
-from repro.serving.metrics import (
-    REPORT_SCHEMA,
-    LatencyStats,
-    bench_report,
-    front_stats,
-    latency_histogram,
-    percentiles,
-)
+from repro.serving.metrics import LatencyStats, front_stats, percentiles
 from repro.serving.scheduler import PendingRequest, Scheduler
 from repro.serving.server import Server
 
@@ -56,10 +49,5 @@ __all__ = [
     "Server",
     "LatencyStats",
     "percentiles",
-    "latency_histogram",
-    "bench_report",
     "front_stats",
-    "REPORT_SCHEMA",
-    "LoadReport",
-    "run_closed_loop",
 ]

@@ -10,14 +10,6 @@ opposite fixes (more workers / bigger ``max_batch`` vs kernel work).
 :class:`LatencyStats` is a thread-safe recorder of those samples with
 percentile snapshots (p50/p95/p99), bounded to the most recent
 ``capacity`` requests so a long-lived server's metrics stay O(1).
-
-This module also owns the **one** report format every serving benchmark
-emits: ``serve-bench`` (thread-pool :class:`~repro.serving.Server`) and
-``shard-bench`` (multi-process :class:`repro.sharding.Router`) both
-render :func:`latency_histogram` and serialize :func:`bench_report`
-JSON, so the two deployments' reports are directly diffable.  The
-``schema`` field is versioned — consumers (CI artifact tooling, trend
-scripts) should check it before reading anything else.
 """
 
 from __future__ import annotations
@@ -31,111 +23,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 
-__all__ = [
-    "LatencyStats",
-    "percentiles",
-    "latency_histogram",
-    "bench_report",
-    "front_stats",
-    "REPORT_SCHEMA",
-]
-
-#: Version tag of the serving benchmark report format.  Bump when a
-#: field changes meaning; additions are backward compatible.
-REPORT_SCHEMA = "repro-serving-report/1"
-
-
-def latency_histogram(
-    latencies_ms: Sequence[float] | np.ndarray,
-    buckets: int = 10,
-    width: int = 40,
-) -> str:
-    """An ASCII histogram of client-observed latencies, log-spaced —
-    serving latency distributions are long-tailed, so linear buckets
-    would pile everything into the first bar."""
-    samples = np.asarray(latencies_ms, dtype=np.float64)
-    if samples.size == 0:
-        # Every request failed: still print the report (the error
-        # counts below are exactly what the user needs to see).
-        return "latency histogram (ms)\n  (no completed requests)"
-    low = max(samples.min(), 1e-3)
-    high = max(samples.max(), low * 1.001)
-    edges = np.geomspace(low, high, buckets + 1)
-    edges[0] = 0.0  # catch everything below the measured floor
-    counts, _ = np.histogram(samples, bins=edges)
-    peak = max(int(counts.max()), 1)
-    lines = ["latency histogram (ms)"]
-    for index, count in enumerate(counts.tolist()):
-        bar = "#" * max(1 if count else 0, round(width * count / peak))
-        lines.append(
-            f"  {edges[index]:8.2f} - {edges[index + 1]:8.2f}  "
-            f"{bar:<{width}} {count}"
-        )
-    return "\n".join(lines)
-
-
-def bench_report(report, *, kind: str, config: dict) -> dict:
-    """The canonical JSON document of one serving benchmark run.
-
-    Parameters
-    ----------
-    report:
-        A :class:`~repro.serving.loadgen.LoadReport`.
-    kind:
-        Which deployment produced it: ``"serve-bench"`` (threaded
-        server) or ``"shard-bench"`` (sharded router).
-    config:
-        The benchmark's knob settings (workers/shards, batch limits,
-        graph shape, ...), embedded verbatim under ``"config"``.
-
-    Returns
-    -------
-    dict
-        ``{"schema": REPORT_SCHEMA, "kind": ..., "config": {...},
-        "machine": {...}, **report.to_dict()}`` — one flat, versioned
-        document every CLI benchmark writes and CI uploads.  The
-        ``"machine"`` fingerprint (:func:`repro.tune.machine_fingerprint`)
-        makes throughput numbers comparable across hosts: two reports
-        are only a perf regression signal when their fingerprints match.
-    """
-    from repro.tune import machine_fingerprint
-
-    document = {"schema": REPORT_SCHEMA, "kind": str(kind),
-                "config": dict(config),
-                "machine": machine_fingerprint().to_dict()}
-    document.update(report.to_dict())
-    # Failure-path counters, lifted to the top level (additive to
-    # schema /1): consumers checking resilience behaviour should not
-    # have to know which nested stats blob carries them.
-    stats = document.get("server_stats") or {}
-    for key in LatencyStats.COUNTERS:
-        document[f"{key}_total"] = int(stats.get(key, 0))
-    # Shard lifetime counters get the same treatment: respawns and sweep
-    # retries inside the worker pool should be as visible in a benchmark
-    # artifact as the request-level failure counters above.
-    shards = stats.get("shards") or {}
-    if shards:
-        document["shard_respawns_total"] = int(shards.get("respawns", 0))
-        document["shard_sweep_retries_total"] = int(
-            shards.get("sweep_retries", 0)
-        )
-        document["shard_republishes_total"] = int(
-            shards.get("republishes", 0)
-        )
-        document["shard_generations"] = [
-            int(generation) for generation in shards.get("generations", [])
-        ]
-    # The full registry snapshot rides along so the report carries every
-    # family (cache hits, sweep timings, supervisor activity, ...) that
-    # the flat fields above don't individually lift.
-    document["metrics"] = obs_metrics.get_registry().snapshot()
-    # When the run was profiled, the merged cross-process profile rides
-    # along too ('repro obs profile report.json' reads it back out).
-    from repro.obs import profile as obs_profile
-
-    if obs_profile.profiling_enabled():
-        document["profile"] = obs_profile.profile_snapshot()
-    return document
+__all__ = ["LatencyStats", "percentiles", "front_stats"]
 
 
 def front_stats(

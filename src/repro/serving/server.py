@@ -42,7 +42,7 @@ import numpy as np
 from repro.engine import Engine, QueryRequest, QueryResult
 from repro.exceptions import DeadlineExceeded, ParameterError
 from repro.graph.graph import Graph
-from repro.method import PPRMethod
+from repro.method import PPRMethod, validate_k
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.exporter import ObsExporter, start_exporter
@@ -202,8 +202,9 @@ def dispatch_batch(
             total_seconds=total_seconds,
         )
         # Server-side split stamped on the future *before* it resolves,
-        # so a client unblocked by result() always sees it — loadgen
-        # reads this to attribute its wall-clock to queue vs compute.
+        # so a client unblocked by result() always sees it — the
+        # ladder's load generator reads this to attribute its wall-clock
+        # to queue vs compute.
         pending.future.repro_timing = {
             "queue_ms": queue_seconds * 1e3,
             "compute_ms": compute_share * 1e3,
@@ -520,8 +521,8 @@ class Server:
         """
         if self._closed:
             raise RuntimeError("server is closed")
-        if request.k is not None and request.k < 1:
-            raise ParameterError("k must be at least 1")
+        if request.k is not None:
+            validate_k(request.k)
         # Seed ids are validated in the caller's id space, which matches
         # the serving space in size (reordering is a permutation).
         self.engine.method.validate_seed(request.seed)

@@ -41,8 +41,10 @@ Quickstart::
                    for s in range(100)]
         results = [f.result() for f in futures]
 
-Benchmark with ``python -m repro shard-bench`` (same report schema as
-``serve-bench``; see :mod:`repro.serving.metrics`).
+The ``sharded-serve`` workload of the benchmark ladder
+(``benchmarks/ladder/run.py``) measures this package under open-loop
+load; :meth:`Router.stats` reports the same keys as
+:meth:`repro.serving.Server.stats`.
 """
 
 from repro.sharding.engine import ShardedEngine, shard_engine

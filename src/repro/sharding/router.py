@@ -33,7 +33,7 @@ from repro.engine import Engine, QueryRequest, QueryResult
 from repro.exceptions import ParameterError
 from repro.graph.partition import partition_graph, partition_order
 from repro.kernels.reorder import LocalityReordering
-from repro.method import PPRMethod
+from repro.method import PPRMethod, validate_k
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs.exporter import ObsExporter, start_exporter
@@ -377,8 +377,8 @@ class Router:
         """
         if self._closed:
             raise RuntimeError("router is closed")
-        if request.k is not None and request.k < 1:
-            raise ParameterError("k must be at least 1")
+        if request.k is not None:
+            validate_k(request.k)
         self._engine.method.validate_seed(request.seed)
         return self._scheduler.submit(request)
 

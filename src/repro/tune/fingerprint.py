@@ -10,9 +10,10 @@ disk keyed by :meth:`MachineFingerprint.key`, so a profile tuned inside
 a quota-limited container never configures a bare-metal run and a
 Numba-measured profile never configures the NumPy fallback.
 
-The same fingerprint is stamped into every ``benchmarks/record.py``
-entry and every serving bench report, so single-core authoring-container
-numbers are distinguishable from CI multi-core numbers at a glance.
+The same fingerprint is stamped into every benchmark-ladder result
+(``env.machine``), and ``benchmarks/compare.py`` compares only runs
+whose fingerprints match, so single-core numbers are never held against
+multi-core ones.
 
 Everything here degrades gracefully: missing ``/proc``, ``/sys`` or
 cgroup files simply leave fields ``None`` (macOS, restricted sandboxes).

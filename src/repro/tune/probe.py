@@ -40,7 +40,7 @@ DEFAULT_BLOCK_GRID = (32, 64, 128, 256)
 #: Probe graphs larger than this are replaced by a same-degree stand-in.
 _MAX_PROBE_NODES = 50_000
 
-#: Ranking width of the top-k sample (matches benchmarks/record.py).
+#: Ranking width of the top-k sample.
 _PROBE_TOPK = 100
 
 

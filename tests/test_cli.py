@@ -166,77 +166,23 @@ class TestGenerateCommand:
             main(["generate", "--dataset", "orkut", "--out", "x.tsv"])
 
 
-class TestServeBenchCommand:
-    def test_synthetic_run_prints_report(self, tmp_path, capsys):
-        json_path = tmp_path / "serve-bench.json"
-        code = main([
-            "serve-bench", "--nodes", "600", "--avg-degree", "6",
-            "--workers", "2", "--clients", "2", "--requests", "10",
-            "--top", "5", "--cache", "16", "--json", str(json_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "latency histogram (ms)" in out
-        assert "throughput" in out
-        assert "latency p99" in out
-        assert "cache" in out
-        import json
+class TestObsCommand:
+    """``repro obs`` reads the dumps the library writes; the load-test
+    subcommands are gone (the benchmark ladder measures serving)."""
 
-        report = json.loads(json_path.read_text())
-        assert report["schema"] == "repro-serving-report/1"
-        assert report["kind"] == "serve-bench"
-        assert report["config"]["workers"] == 2
-        assert report["requests"] == 20
-        assert report["errors"] == 0
-        assert report["queries_per_second"] > 0
-
-    def test_edge_list_graph_source(self, edge_file, capsys):
-        code = main([
-            "serve-bench", "--graph", str(edge_file),
-            "--workers", "1", "--clients", "2", "--requests", "5",
-        ])
-        assert code == 0
-        assert "throughput" in capsys.readouterr().out
-
-    def test_graph_and_nodes_mutually_exclusive(self, edge_file):
+    def test_only_library_subcommands_remain(self, capsys):
         with pytest.raises(SystemExit):
-            main([
-                "serve-bench", "--graph", str(edge_file), "--nodes", "100",
-            ])
+            main(["--help"])
+        assert "{query,stats,generate,tune,obs}" in capsys.readouterr().out
 
-
-class TestShardBenchCommand:
-    def test_synthetic_run_prints_report(self, tmp_path, capsys):
-        json_path = tmp_path / "shard-bench.json"
-        code = main([
-            "shard-bench", "--nodes", "600", "--avg-degree", "6",
-            "--shards", "2", "--clients", "2", "--requests", "10",
-            "--top", "5", "--cache", "16", "--reorder", "slashburn",
-            "--json", str(json_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "latency histogram (ms)" in out
-        assert "shards=2" in out
-        assert "shard rows" in out
-        assert "throughput" in out
+    def test_profile_snapshot_summary(self, tmp_path, capsys):
         import json
 
-        report = json.loads(json_path.read_text())
-        # serve-bench and shard-bench share one versioned schema.
-        assert report["schema"] == "repro-serving-report/1"
-        assert report["kind"] == "shard-bench"
-        assert report["config"]["shards"] == 2
-        assert len(report["config"]["shard_rows"]) == 2
-        assert report["requests"] == 20
-        assert report["errors"] == 0
-        assert report["queries_per_second"] > 0
-
-    def test_no_reorder_leg(self, capsys):
-        code = main([
-            "shard-bench", "--nodes", "400", "--avg-degree", "6",
-            "--shards", "2", "--clients", "1", "--requests", "5",
-            "--reorder", "none",
-        ])
-        assert code == 0
-        assert "throughput" in capsys.readouterr().out
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({
+            "stacks": {"pid:1;main;spmm": 3, "pid:1;main;topk": 1},
+        }))
+        assert main(["obs", "profile", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "75.0%  spmm" in out
+        assert "4 samples, 2 stacks, 1 process(es): 1" in out

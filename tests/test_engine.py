@@ -82,17 +82,22 @@ class TestQueryResults:
         assert 5 not in excluded.top_nodes
 
     def test_invalid_k_rejected(self, engine):
-        with pytest.raises(ParameterError):
-            engine.query(0, k=0)
+        # Non-integral and bool k are errors, never truncated to an int.
+        for bad in (0, -1, 2.5, 3.0, True, "3"):
+            with pytest.raises(ParameterError):
+                engine.query(0, k=bad)
+            with pytest.raises(ParameterError):
+                engine.serve([0], k=bad)
 
     def test_invalid_k_rejected_before_compute(self, engine):
         """A malformed request fails fast: no online pass runs, no stats
         half-update happens."""
         before = engine.stats()
-        with pytest.raises(ParameterError):
-            engine.batch(
-                [QueryRequest(seed=1), QueryRequest(seed=2, k=0)]
-            )
+        for bad in (0, 2.5, True):
+            with pytest.raises(ParameterError):
+                engine.batch(
+                    [QueryRequest(seed=1), QueryRequest(seed=2, k=bad)]
+                )
         assert engine.stats() == before
 
     def test_out_of_range_seed_rejected(self, engine, small_community):

@@ -32,8 +32,7 @@ from repro.engine import Engine, QueryRequest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.resilience import faults
-from repro.serving import Server, bench_report, front_stats
-from repro.serving.loadgen import run_closed_loop
+from repro.serving import Server, front_stats
 from repro.sharding import Router
 
 
@@ -430,48 +429,54 @@ class TestServingIntegration:
             assert key in merged
         assert merged["cache"] is None and merged["shards"] is None
 
-    def test_bench_report_carries_metrics_and_shard_counters(
+    def test_router_stats_and_registry_carry_shard_counters(
         self, small_community, fork_numpy
     ):
         with Router(
             TPA(s_iteration=4, t_iteration=8), small_community,
             num_shards=2,
         ) as router:
-            report = run_closed_loop(
-                router, np.arange(16), k=5, clients=2,
-                requests_per_client=5,
-            )
-        document = bench_report(report, kind="shard-bench", config={})
-        assert document["shard_respawns_total"] == 0
-        assert document["shard_sweep_retries_total"] == 0
-        assert document["shard_generations"] == [0, 0]
-        snapshot = document["metrics"]
+            router.batch([QueryRequest(seed=s, k=5) for s in range(16)])
+            shards = router.stats()["shards"]
+        assert shards["respawns"] == 0
+        assert shards["sweep_retries"] == 0
+        assert shards["generations"] == [0, 0]
+        snapshot = obs_metrics.get_registry().snapshot()
         assert snapshot["schema"] == obs_metrics.METRICS_SCHEMA
         assert "repro_sweep_seconds" in snapshot["families"]
-        json.dumps(document)
+        json.dumps(snapshot)
 
-    def test_loadgen_splits_queue_vs_compute(self, small_community):
+    def test_futures_carry_queue_vs_compute_split(self, small_community):
+        """``dispatch_batch`` stamps ``future.repro_timing`` before the
+        future resolves; the benchmark ladder's load generator reads it
+        to split client-side latency into queue and compute time."""
+        done_at: dict[int, float] = {}
+
+        def stamp(future):
+            done_at[id(future)] = time.perf_counter()
+
+        submitted = []
         with small_server(small_community) as server:
-            report = run_closed_loop(
-                server, np.arange(32), k=5, clients=4,
-                requests_per_client=10, keep_samples=True,
-            )
-        assert report.requests == 40
-        assert not np.isnan(report.queue_ms).any()
-        # Per request the client-side total is queue + compute + only
-        # future-wakeup overhead: the split never exceeds the total and
-        # accounts for nearly all of it.
-        totals = report.latencies_ms
-        split = report.queue_ms + report.compute_ms
-        assert np.all(split <= totals + 0.5)
-        gap = totals - split
-        assert float(np.median(gap)) < 50.0
-        assert report.queue_mean_ms > 0
-        assert report.compute_mean_ms > 0
-        assert (
-            report.queue_mean_ms + report.compute_mean_ms
-            <= report.latency_mean_ms + 0.5
-        )
+            for seed in range(40):
+                begin = time.perf_counter()
+                future = server.submit(QueryRequest(seed=seed % 32, k=5))
+                future.add_done_callback(stamp)
+                submitted.append((begin, future))
+            for _, future in submitted:
+                future.result(timeout=60)
+        gaps = []
+        for begin, future in submitted:
+            timing = future.repro_timing
+            assert timing["queue_ms"] >= 0
+            assert timing["compute_ms"] > 0
+            split = timing["queue_ms"] + timing["compute_ms"]
+            assert split <= timing["total_ms"] + 1e-6
+            # The server-side total lies inside the client-observed one.
+            client_ms = (done_at[id(future)] - begin) * 1e3
+            assert timing["total_ms"] <= client_ms + 0.5
+            gaps.append(client_ms - split)
+        # The split accounts for nearly all of the client's wall time.
+        assert float(np.median(gaps)) < 50.0
 
     def test_results_bitwise_with_instrumentation_active(
         self, small_community, fork_numpy
@@ -583,6 +588,15 @@ class TestCrossProcessTracing:
             shard="1"
         ).value == 1
         assert families["repro_sweep_retries_total"].value >= 1
+        # Across the respawn the request is still one connected tree,
+        # with worker spans shipped back over the pipe.
+        (root,) = obs_trace.span_tree(trace_id)
+        assert root["span"]["name"] == "request"
+        workers = [
+            s for s in obs_trace.spans(trace_id) if s["name"] == "sweep_shard"
+        ]
+        assert workers
+        assert all(s["tags"]["clock"] == "rebased" for s in workers)
 
     def test_trace_consistent_across_republish(
         self, small_community, fork_numpy

@@ -82,8 +82,12 @@ class TestTopK:
         np.testing.assert_array_equal(method.top_k(5, 10), manual)
 
     def test_k_validation(self, method):
-        with pytest.raises(ValueError):
-            method.top_k(0, 0)
+        # ParameterError is a ValueError: callers catching either agree.
+        for bad in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError):
+                method.top_k(0, bad)
+            with pytest.raises(ParameterError):
+                method.top_k_many([0, 1], bad)
 
     def test_works_for_all_method_types(self, small_community):
         """top_k lives on the base class — spot-check a baseline."""

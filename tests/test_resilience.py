@@ -20,7 +20,6 @@ import os
 import pickle
 import signal
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from repro.exceptions import (
     ServerOverloaded,
     WorkerFailure,
 )
+from repro.obs import metrics as obs_metrics
 from repro.resilience import faults, reaper
 from repro.resilience.faults import FaultClause, FaultPlan
 from repro.resilience.retry import RetryPolicy, call_with_retry, is_retryable
@@ -43,7 +43,6 @@ from repro.resilience.supervisor import (
     missed_beat_threshold,
 )
 from repro.serving import LatencyStats, Server
-from repro.serving.loadgen import run_closed_loop
 from repro.serving.scheduler import PendingRequest
 from repro.serving.server import dispatch_batch
 from repro.sharding import Router, ShardPlan, ShardedOperator
@@ -499,76 +498,6 @@ class TestServerSupervision:
             np.testing.assert_array_equal(expected.top_nodes, result.top_nodes)
 
 
-# -- load generator: bounded retry and deadline accounting ---------------------
-
-
-class _StubServer:
-    """Scheduler-surface stub: scripted rejections, scripted results."""
-
-    def __init__(self, rejections: int = 0, error: Exception | None = None):
-        self._rejections = rejections
-        self._error = error
-        self.submissions = 0
-
-    def submit(self, request):
-        self.submissions += 1
-        if self._rejections > 0:
-            self._rejections -= 1
-            raise ServerOverloaded(1, 1)
-        future = Future()
-        if self._error is not None:
-            future.set_exception(self._error)
-        else:
-            future.set_result(object())
-        return future
-
-    def stats(self):
-        return {}
-
-
-class TestLoadgenResilience:
-    POLICY = RetryPolicy(max_attempts=3, backoff_ms=0.0, jitter=0.0)
-
-    def test_bounded_retry_recovers(self):
-        server = _StubServer(rejections=2)
-        report = run_closed_loop(
-            server, seeds=[0, 1, 2], clients=1, requests_per_client=3,
-            retry=self.POLICY,
-        )
-        assert report.requests == 3
-        assert report.retries == 2
-        assert report.rejected == 2
-
-    def test_bounded_retry_abandons_after_max_attempts(self):
-        server = _StubServer(rejections=10**9)
-        report = run_closed_loop(
-            server, seeds=[0, 1, 2], clients=1, requests_per_client=3,
-            retry=self.POLICY,
-        )
-        assert report.requests == 0
-        # Per request: two absorbed backoffs, then the abandoning
-        # rejection — all three land in ``rejected``.
-        assert report.retries == 6
-        assert report.rejected == 9
-        assert server.submissions == 9
-
-    def test_deadline_misses_tallied_apart_from_errors(self):
-        report = run_closed_loop(
-            _StubServer(error=DeadlineExceeded(1.0, 2.0)),
-            seeds=[0], clients=1, requests_per_client=4,
-            retry=self.POLICY,
-        )
-        assert report.deadlines_exceeded == 4
-        assert report.errors == 0
-        report = run_closed_loop(
-            _StubServer(error=RuntimeError("boom")),
-            seeds=[0], clients=1, requests_per_client=4,
-            retry=self.POLICY,
-        )
-        assert report.errors == 4
-        assert report.deadlines_exceeded == 0
-
-
 # -- sharded chaos: the operator under injected process faults -----------------
 
 
@@ -773,6 +702,20 @@ class TestShardChaos:
 
 # -- end to end: Router under chaos --------------------------------------------
 
+#: Registry counters a worker kill mid-sweep must raise.
+_RESPAWN_FAMILIES = ("repro_shard_respawns_total", "repro_sweep_retries_total")
+
+
+def _registry_totals() -> dict[str, float]:
+    """Each respawn family's value summed over its label sets."""
+    families = obs_metrics.get_registry().families()
+    return {
+        name: sum(
+            child.value for child in families[name].children().values()
+        ) if name in families else 0.0
+        for name in _RESPAWN_FAMILIES
+    }
+
 
 class TestRouterChaos:
     def test_worker_kill_mid_batch_bitwise_and_counted(
@@ -797,6 +740,7 @@ class TestRouterChaos:
             step_timeout=60.0,
         )
         names = list(router.engine.shards._store.segment_names)
+        before = _registry_totals()
         try:
             results = router.batch(requests, timeout=120)
             for expected, actual in zip(reference, results):
@@ -814,6 +758,11 @@ class TestRouterChaos:
             stats = router.stats()
             assert stats["respawns"] >= 1
             assert stats["failures"] == 0
+            assert stats["shards"]["generations"][1] >= 1
+            # The kill is visible in the metrics registry as well.
+            after = _registry_totals()
+            for name in _RESPAWN_FAMILIES:
+                assert after[name] >= before[name] + 1, name
         finally:
             router.close()
         assert_store_released(names)

@@ -33,7 +33,6 @@ from repro.serving import (
     ScoreCache,
     Server,
     percentiles,
-    run_closed_loop,
 )
 
 
@@ -391,8 +390,9 @@ class TestServerMechanics:
 
     def test_submit_validates_before_enqueue(self, served_method):
         with Server(served_method, workers=1) as server:
-            with pytest.raises(ParameterError):
-                server.submit(QueryRequest(seed=0, k=0))
+            for bad in (0, 2.5, True, "3"):
+                with pytest.raises(ParameterError):
+                    server.submit(QueryRequest(seed=0, k=bad))
             with pytest.raises(ValueError):
                 server.submit(QueryRequest(seed=10**9, k=5))
             with pytest.raises(TypeError):
@@ -501,18 +501,6 @@ class TestServerMechanics:
             <= stats["latency_max_ms"]
         )
         assert stats["cache"]["capacity"] == 16
-
-    def test_closed_loop_load_generator(self, served_method):
-        with Server(served_method, workers=2, max_batch=8) as server:
-            report = run_closed_loop(
-                server, seeds=np.arange(32), k=5,
-                clients=3, requests_per_client=10,
-            )
-        assert report.requests == 30
-        assert report.errors == 0
-        assert report.queries_per_second > 0
-        assert report.latency_p50_ms <= report.latency_p99_ms
-        assert report.to_dict()["clients"] == 3
 
 
 # -- Replication ---------------------------------------------------------------

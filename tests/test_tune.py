@@ -610,22 +610,6 @@ class TestPinnedBitwiseInvariance:
         np.testing.assert_array_equal(serial, tuned)
 
 
-class TestMachineInReports:
-    def test_bench_report_carries_fingerprint(self, small_community):
-        from repro.serving import run_closed_loop
-        from repro.serving.metrics import REPORT_SCHEMA, bench_report
-
-        method = create_method("tpa", s_iteration=4, t_iteration=8)
-        with Server(method, small_community, workers=1, pin=False) as server:
-            report = run_closed_loop(
-                server, np.arange(8), k=5, clients=2, requests_per_client=4
-            )
-        document = bench_report(report, kind="serve-bench", config={})
-        assert document["schema"] == REPORT_SCHEMA
-        assert document["machine"] == machine_fingerprint().to_dict()
-        json.dumps(document)
-
-
 class TestTuneCLI:
     def test_measure_then_cache(self, capsys):
         from repro.cli import main
@@ -658,13 +642,3 @@ class TestTuneCLI:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == PROFILE_SCHEMA
-
-    def test_bench_rejects_bad_profile_path(self, tmp_path, capsys):
-        from repro.cli import main
-
-        bad = tmp_path / "nope.json"
-        with pytest.raises(SystemExit, match="cannot load tuned profile"):
-            main([
-                "serve-bench", "--nodes", "300", "--clients", "1",
-                "--requests", "1", "--tuned", str(bad),
-            ])
