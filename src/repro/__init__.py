@@ -77,8 +77,8 @@ Package map
 * :mod:`repro.serving` — concurrent serving (micro-batching ``Scheduler``,
   ``Server`` over Engine replicas, shared ``ScoreCache``).
 * :mod:`repro.sharding` — sharded multi-process serving (``ShardPlan``,
-  shared-memory ``ShardStore``, shard workers, ``Router``,
-  ``Engine.shard()``).
+  shared-memory ``ShardStore``, shard workers, ``Engine.shard()``, and
+  ``Router``: a ``Server`` whose one worker serves on ``Engine.shard()``).
 * :mod:`repro.dynamic` — dynamic graphs (``DynamicGraph`` delta-overlay
   edge updates, epoch-aware cache repair, warm-restarted serving).
 * :mod:`repro.tune` — hardware autotuning (measured ``TuneProfile``

@@ -12,8 +12,11 @@ package supplies the serving layer on top of the batched engine:
 * :class:`Server` — a pool of worker threads, each owning one Engine
   replica (:meth:`repro.engine.Engine.replicate`): preprocessed arrays,
   graph, and cache shared read-only; workspace scratch, locks, and
-  counters private per worker, so the GIL-released compiled kernels
-  overlap across cores;
+  counters private per worker, so workers overlap across cores inside
+  the kernel calls that release the interpreter lock (on the NumPy
+  backend: SciPy's CSR products and NumPy's copy/partition loops).
+  :class:`repro.sharding.Router` is a ``Server`` whose single worker
+  serves on :meth:`repro.engine.Engine.shard` instead;
 * :class:`ScoreCache` — the Engine's LRU promoted into a lock-guarded
   shared object with hit/miss/eviction counters, pooled across all
   replicas;
@@ -38,7 +41,7 @@ Quickstart::
 """
 
 from repro.serving.cache import ScoreCache
-from repro.serving.metrics import LatencyStats, front_stats, percentiles
+from repro.serving.metrics import LatencyStats, percentiles
 from repro.serving.scheduler import PendingRequest, Scheduler
 from repro.serving.server import Server
 
@@ -49,5 +52,4 @@ __all__ = [
     "Server",
     "LatencyStats",
     "percentiles",
-    "front_stats",
 ]

@@ -23,43 +23,8 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["LatencyStats", "percentiles", "front_stats"]
+__all__ = ["LatencyStats", "percentiles"]
 
-
-def front_stats(
-    snapshot: dict,
-    *,
-    workers: int,
-    pending: int,
-    max_batch: int,
-    max_wait_ms: float,
-    overloads: int,
-    pinning,
-    queries_served: int,
-    online_seconds: float,
-    cache_stats: dict | None,
-    shard_stats: dict | None = None,
-) -> dict:
-    """One stats shape for both serving front ends.
-
-    :meth:`Server.stats` and :meth:`Router.stats` feed their own inputs
-    through this helper so the two deployments report identical keys —
-    a threaded server answers with ``shards=None``, a sharded router
-    with ``cache_stats`` of its shared cache (or ``None``) — and report
-    consumers never branch on which front end produced the blob.
-    """
-    merged = dict(snapshot)
-    merged["workers"] = int(workers)
-    merged["pending"] = int(pending)
-    merged["max_batch"] = int(max_batch)
-    merged["max_wait_ms"] = float(max_wait_ms)
-    merged["overloads"] = int(overloads)
-    merged["pinning"] = pinning
-    merged["queries_served"] = int(queries_served)
-    merged["online_seconds"] = float(online_seconds)
-    merged["cache"] = cache_stats
-    merged["shards"] = shard_stats
-    return merged
 
 #: Default sample-window size: percentiles reflect the most recent
 #: requests, and memory stays bounded on a long-lived server.

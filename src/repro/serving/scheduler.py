@@ -25,11 +25,14 @@ an ever-deeper queue.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.engine import QueryRequest
 from repro.exceptions import ParameterError, ServerOverloaded
@@ -85,10 +88,23 @@ class Scheduler:
         max_wait_ms: float = 2.0,
         max_pending: int = 1024,
     ):
+        # Counts follow validate_k's rule: bools and floats raise rather
+        # than truncate (max_batch=2.5 must not quietly mean 2).
+        for name, value in (
+            ("max_batch", max_batch), ("max_pending", max_pending)
+        ):
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                value, (int, np.integer)
+            ):
+                raise ParameterError(
+                    f"{name} must be an integer, got {type(value).__name__}"
+                )
         if max_batch < 1:
             raise ParameterError("max_batch must be at least 1")
-        if max_wait_ms < 0:
-            raise ParameterError("max_wait_ms must be non-negative")
+        # NaN passes a plain ``< 0`` check and makes the age trigger
+        # never fire: the queue would wait forever.
+        if not math.isfinite(max_wait_ms) or max_wait_ms < 0:
+            raise ParameterError("max_wait_ms must be finite and non-negative")
         if max_pending < 0:
             raise ParameterError("max_pending must be non-negative")
         self._max_batch = int(max_batch)

@@ -14,9 +14,11 @@ pieces below cooperate:
   graph, and the score cache are shared read-only, while every mutable
   piece — the method's :class:`~repro.kernels.Workspace` scratch, the
   engine's ranking buffers, its lock and counters — is per worker.
-  Replicas therefore run concurrently without aliasing scratch, and the
-  compiled ``prange`` kernels release the GIL, so workers genuinely
-  overlap on multi-core hosts;
+  Replicas therefore run concurrently without aliasing scratch.  On the
+  NumPy backend SciPy's CSR products and NumPy's copy/partition loops
+  release the interpreter lock, so workers overlap inside those kernel
+  calls on multi-core hosts; the Python between them (scheduling,
+  ranking bookkeeping, building results) still takes turns;
 * one shared :class:`~repro.serving.cache.ScoreCache` (``cache_size >
   0``) pools hits across all replicas;
 * admission control bounds the queue (``max_pending`` →
@@ -28,6 +30,9 @@ Results are plain :class:`~repro.engine.QueryResult` records, identical
 (up to the ``seconds``/``cached`` accounting fields) to what a serial
 ``Engine.batch`` over the same requests returns — concurrency never
 changes scores or rankings.
+
+:class:`repro.sharding.Router` is this class with one worker thread
+serving on :meth:`Engine.shard` instead of on replicas.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from repro.resilience import faults
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.resilience.supervisor import Supervisor
 from repro.serving.cache import ScoreCache
-from repro.serving.metrics import LatencyStats, front_stats
+from repro.serving.metrics import LatencyStats
 from repro.serving.scheduler import PendingRequest, Scheduler
 
 __all__ = ["Server", "dispatch_batch", "resolve_future"]
@@ -89,9 +94,7 @@ def dispatch_batch(
     ``Engine.batch`` is pure over its score cache, so a retried batch
     returns results bitwise identical to an undisturbed one.  A finally
     failing batch fails every member's future — clients see the
-    exception, the dispatching worker survives.  Shared by
-    :class:`Server`'s worker threads and the
-    :class:`repro.sharding.Router`'s dispatcher.
+    exception, the dispatching worker survives.
     """
     dispatched_at = time.perf_counter()
     live: list[PendingRequest] = []
@@ -324,61 +327,74 @@ class Server:
             max_wait_ms=max_wait_ms,
             max_pending=max_pending,
         )
-        self._cache = ScoreCache(cache_size) if cache_size else None
-        self._primary = Engine(
-            method,
-            graph,
-            reorder=reorder,
-            stream_block=stream_block,
-            memory_budget_bytes=memory_budget_bytes,
-            cache=self._cache,
-            tune=tune,
-        )
-        # Every worker serves on a replica — never on the primary, whose
-        # method is the caller's live object (they may keep querying it
-        # outside the server; sharing its workspace scratch with a
-        # worker thread would corrupt scores).
-        self._engines = [self._primary.replicate() for _ in range(workers)]
-        if warm:
-            # One serial pass per replica: builds the shared decayed
-            # operator / JIT code before any concurrency, and sizes each
-            # replica's retained workspace.  Bypasses the engines (no
-            # stats/cache pollution) and runs in the *serving* id space,
-            # so any valid node works.
-            probe = np.zeros(1, dtype=np.int64)
-            for engine in self._engines:
-                engine.method.query_many(probe)
+        # Counters exist before any serving engine does: a shard respawn
+        # during the warm probe already lands in ``respawns``.
         self._metrics = LatencyStats()
         self._retry = retry
         self._closed = False
+        self._engines: list[Engine] = []
+        self._threads: list[threading.Thread] = []
         self._pinning: list[tuple[int, ...]] | None = None
-        if pin:
-            from repro.tune.pinning import plan_pinning
-
-            self._pinning = plan_pinning(workers)
+        self._supervisor: Supervisor | None = None
         # Guards thread revival: the supervisor's repair and close() must
         # not race to replace the same slot.
         self._revive_lock = threading.Lock()
-        self._threads = [
-            self._make_thread(index) for index in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-        self._supervisor: Supervisor | None = None
-        if supervise:
-            self._supervisor = Supervisor(
-                self._probe_threads,
-                self._revive_thread,
-                name="repro-serve-supervisor",
-                interval_ms=heartbeat_ms,
-            )
-        # Operational surface: sampler (REPRO_PROFILE-gated no-op when
-        # off) and HTTP exporter (obs_port= / REPRO_OBS_PORT).
-        obs_profile.arm()
-        self._obs_name = f"server-{id(self):x}"
+        self._obs_name = f"{type(self).__name__.lower()}-{id(self):x}"
+        # The port binds before anything starts, so a busy one fails with
+        # nothing to release; any later failure closes what did start.
         self._exporter, self._owns_exporter = start_exporter(obs_port)
+        try:
+            self._cache = ScoreCache(cache_size) if cache_size else None
+            self._primary = Engine(
+                method,
+                graph,
+                reorder=reorder,
+                stream_block=stream_block,
+                memory_budget_bytes=memory_budget_bytes,
+                cache=self._cache,
+                tune=tune,
+            )
+            self._engines = self._serving_engines(workers)
+            if warm:
+                # One serial pass per serving engine: builds the shared
+                # decayed operator / JIT code before any concurrency, and
+                # sizes each engine's retained workspace.  Bypasses the
+                # engines (no stats/cache pollution) and runs in the
+                # *serving* id space, so any valid node works.
+                probe = np.zeros(1, dtype=np.int64)
+                for engine in self._engines:
+                    engine.method.query_many(probe)
+            if pin:
+                from repro.tune.pinning import plan_pinning
+
+                self._pinning = plan_pinning(workers)
+            for index in range(workers):
+                thread = self._make_thread(index)
+                thread.start()
+                self._threads.append(thread)
+            if supervise:
+                self._supervisor = Supervisor(
+                    self._probe_threads,
+                    self._revive_thread,
+                    name="repro-serve-supervisor",
+                    interval_ms=heartbeat_ms,
+                )
+        except BaseException:
+            self.close(drain=False)
+            raise
+        # Sampler (REPRO_PROFILE-gated no-op when off); readiness is
+        # reported only once everything behind it runs.
+        obs_profile.arm()
         if self._exporter is not None:
             self._exporter.add_check(self._obs_name, self._health_check)
+
+    def _serving_engines(self, workers: int) -> list[Engine]:
+        """One Engine per worker thread.  Every worker serves on a
+        replica — never on the primary, whose method is the caller's
+        live object (they may keep querying it outside the server;
+        sharing its workspace scratch with a worker thread would corrupt
+        scores)."""
+        return [self._primary.replicate() for _ in range(workers)]
 
     def _make_thread(self, index: int) -> threading.Thread:
         return threading.Thread(
@@ -405,11 +421,11 @@ class Server:
         ]
 
     def _revive_thread(self, index: int) -> None:
-        """Restart a dead worker on its own replica.
+        """Restart a dead worker on its own serving engine.
 
-        The replica itself is safe to reuse: a thread only dies *between*
-        batches (dispatch_batch contains every per-batch failure), so the
-        replica's workspace is never left mid-computation.
+        The engine itself is safe to reuse: a thread only dies *between*
+        batches (dispatch_batch contains every per-batch failure), so its
+        workspace is never left mid-computation.
         """
         with self._revive_lock:
             if self._closed or self._threads[index].is_alive():
@@ -423,7 +439,7 @@ class Server:
 
     @property
     def workers(self) -> int:
-        """Worker-thread (= Engine-replica) count."""
+        """Worker-thread (= serving-engine) count."""
         return len(self._engines)
 
     @property
@@ -457,20 +473,27 @@ class Server:
         """The attached observability endpoint, if any."""
         return self._exporter
 
+    def _liveness(self) -> tuple[bool, dict]:
+        """``(all alive, detail)`` of the workers behind ``/health``."""
+        alive = sum(1 for thread in self._threads if thread.is_alive())
+        return alive == len(self._threads), {
+            "workers_alive": alive,
+            "workers": len(self._threads),
+        }
+
     def _health_check(self) -> dict:
-        """Readiness for ``/health``: every worker thread alive and the
+        """Readiness for ``/health``: every worker alive and the
         scheduler not saturated.  Runs on exporter scrape threads; reads
         only cheap state."""
         if self._closed:
             return {"ready": False, "reason": "closed"}
-        alive = sum(1 for thread in self._threads if thread.is_alive())
+        alive, detail = self._liveness()
         pending = self._scheduler.pending
         max_pending = self._scheduler.max_pending
         saturated = bool(max_pending) and pending >= max_pending
         return {
-            "ready": alive == len(self._threads) and not saturated,
-            "workers_alive": alive,
-            "workers": len(self._threads),
+            "ready": alive and not saturated,
+            **detail,
             "pending": pending,
             "max_pending": max_pending,
             "backpressure": saturated,
@@ -478,13 +501,15 @@ class Server:
 
     def stats(self) -> dict:
         """One merged view: latency snapshot, queue depth, worker count,
-        per-replica engine counters summed, and shared-cache counters.
-        Shaped by :func:`~repro.serving.metrics.front_stats`, so the
-        keys match :meth:`repro.sharding.Router.stats` exactly
-        (``shards`` is ``None`` here — threads, not processes)."""
+        serving-engine counters summed, shared-cache counters, and the
+        shard deployment's counters under ``shards`` (``None`` on a
+        threads-only server).  A :class:`repro.sharding.Router` reports
+        the same keys, with ``workers`` 1 and the shard processes'
+        placement as ``pinning``."""
         snapshots = [engine.stats() for engine in self._engines]
-        return front_stats(
-            self._metrics.snapshot(),
+        shards = snapshots[0].get("shards")
+        merged = self._metrics.snapshot()
+        merged.update(
             workers=self.workers,
             pending=self.pending,
             max_batch=self._scheduler.max_batch,
@@ -493,19 +518,14 @@ class Server:
             pinning=(
                 [list(cpus) for cpus in self._pinning]
                 if self._pinning is not None
-                else None
+                else (shards or {}).get("pinning")
             ),
-            queries_served=sum(
-                snap["queries_served"] for snap in snapshots
-            ),
-            online_seconds=sum(
-                snap["online_seconds"] for snap in snapshots
-            ),
-            cache_stats=(
-                self._cache.stats() if self._cache is not None else None
-            ),
-            shard_stats=None,
+            queries_served=sum(snap["queries_served"] for snap in snapshots),
+            online_seconds=sum(snap["online_seconds"] for snap in snapshots),
+            cache=self._cache.stats() if self._cache is not None else None,
+            shards=shards,
         )
+        return merged
 
     # -- the client surface ----------------------------------------------------
 
@@ -578,7 +598,9 @@ class Server:
 
         ``drain=True`` (default) lets workers finish every queued
         request before exiting; ``drain=False`` cancels queued requests
-        (their futures report cancelled).  Idempotent.
+        (their futures report cancelled).  Then every serving engine is
+        closed — a no-op for replicas; a sharded engine stops its worker
+        processes and unlinks its ``/dev/shm`` segments.  Idempotent.
         """
         if self._closed:
             return
@@ -592,9 +614,12 @@ class Server:
         self._scheduler.close()
         for thread in self._threads:
             thread.join(timeout)
+        for engine in self._engines:
+            engine.close()
         exporter, self._exporter = self._exporter, None
         if exporter is not None:
             exporter.remove_check(self._obs_name)
+            exporter.remove_collector(self._obs_name)
             if self._owns_exporter:
                 exporter.close()
 
@@ -632,7 +657,7 @@ class Server:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Server(method={self.engine.method.name}, "
+            f"{type(self).__name__}(method={self.engine.method.name}, "
             f"workers={self.workers}, "
             f"max_batch={self._scheduler.max_batch}, "
             f"pending={self.pending})"

@@ -1,13 +1,14 @@
 """Sharded multi-process serving: partition-aligned workers over
 shared-memory CSR.
 
-PR 4's :mod:`repro.serving` scales queries across *threads* — replicas
-of one Engine overlapping inside compiled kernels.  This package is the
-next escape hatch: **processes**.  TPA's own structure (a SlashBurn hub
-band plus near-block-diagonal community blocks, and per-block
-contributions that are cheap to combine) is exactly the structure a
-sharded deployment wants, so the operator's rows are cut on those
-frontiers and each shard is owned by one worker process:
+:mod:`repro.serving` scales queries across *threads* — replicas of one
+Engine overlapping inside the kernel calls that release the interpreter
+lock.  This package is the next escape hatch: **processes**.  TPA's own
+structure (a SlashBurn hub band plus near-block-diagonal community
+blocks, and per-block contributions that are cheap to combine) is
+exactly the structure a sharded deployment wants, so the operator's rows
+are cut on those frontiers and each shard is owned by one worker
+process:
 
 * :class:`ShardPlan` — contiguous row stripes cut on SlashBurn block
   starts (hub band pinned to shard 0) or
@@ -23,11 +24,11 @@ frontiers and each shard is owned by one worker process:
   product);
 * :class:`ShardedEngine` / :meth:`repro.engine.Engine.shard` — the
   multi-process sibling of :meth:`~repro.engine.Engine.replicate`;
-* :class:`Router` — the serving front end: the same micro-batching
-  :class:`~repro.serving.Scheduler` surface as
-  :class:`~repro.serving.Server`, dispatching into the sharded engine
-  and merging **exact** results (bitwise identical to a serial
-  ``Engine.batch``).
+* :class:`Router` — the serving front end: a
+  :class:`~repro.serving.Server` whose single worker thread serves on
+  the sharded engine, merging **exact** results (bitwise identical to a
+  serial ``Engine.batch``).  Every parameter it shares with ``Server``
+  acts as on ``Server``.
 
 Quickstart::
 
@@ -43,8 +44,8 @@ Quickstart::
 
 The ``sharded-serve`` workload of the benchmark ladder
 (``benchmarks/ladder/run.py``) measures this package under open-loop
-load; :meth:`Router.stats` reports the same keys as
-:meth:`repro.serving.Server.stats`.
+load; :meth:`Router.stats` is :meth:`repro.serving.Server.stats`, so
+it reports the same keys.
 """
 
 from repro.sharding.engine import ShardedEngine, shard_engine

@@ -32,7 +32,7 @@ from repro.engine import Engine, QueryRequest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.resilience import faults
-from repro.serving import Server, front_stats
+from repro.serving import Server
 from repro.sharding import Router
 
 
@@ -415,19 +415,6 @@ class TestServingIntegration:
         assert server_stats["shards"] is None
         assert router_stats["shards"]["num_shards"] == 2
         assert server_stats["cache"] is not None
-
-    def test_front_stats_shape(self):
-        merged = front_stats(
-            {"completed": 1},
-            workers=2, pending=0, max_batch=8, max_wait_ms=1.0,
-            overloads=0, pinning=None, queries_served=1,
-            online_seconds=0.5, cache_stats=None,
-        )
-        for key in ("workers", "pending", "max_batch", "max_wait_ms",
-                    "overloads", "pinning", "queries_served",
-                    "online_seconds", "cache", "shards", "completed"):
-            assert key in merged
-        assert merged["cache"] is None and merged["shards"] is None
 
     def test_router_stats_and_registry_carry_shard_counters(
         self, small_community, fork_numpy

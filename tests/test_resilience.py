@@ -482,20 +482,28 @@ class TestDispatchRetry:
 
 class TestServerSupervision:
     def test_crashed_worker_thread_is_revived(self, chaos_graph):
-        faults.set_fault_plan("server_worker_crash@1")
-        method = create_method("tpa", s_iteration=4, t_iteration=8)
-        with Server(
-            method, chaos_graph, workers=2, heartbeat_ms=20
-        ) as server:
-            wait_until(
-                lambda: server.stats()["respawns"] >= 1,
-                what="thread revival",
-            )
-            faults.set_fault_plan(None)
-            # The revived pool still serves, identically to a serial run.
-            (expected,) = server.engine.batch([QueryRequest(seed=3, k=5)])
-            result = server.query(3, k=5)
-            np.testing.assert_array_equal(expected.top_nodes, result.top_nodes)
+        # A Router is a Server with one worker thread: its worker is
+        # supervised and revived the same way.
+        for front, options in ((Server, {"workers": 2}), (Router, {})):
+            faults.set_fault_plan("server_worker_crash@1")
+            method = create_method("tpa", s_iteration=4, t_iteration=8)
+            with front(
+                method, chaos_graph, heartbeat_ms=20, **options
+            ) as server:
+                wait_until(
+                    lambda: server.stats()["respawns"] >= 1,
+                    what=f"{front.__name__} thread revival",
+                )
+                faults.set_fault_plan(None)
+                # The revived pool still serves, identically to a serial
+                # run.
+                (expected,) = server.engine.batch(
+                    [QueryRequest(seed=3, k=5)]
+                )
+                result = server.query(3, k=5)
+                np.testing.assert_array_equal(
+                    expected.top_nodes, result.top_nodes
+                )
 
 
 # -- sharded chaos: the operator under injected process faults -----------------

@@ -5,11 +5,16 @@ change scores or rankings.  Every concurrent path is checked bitwise
 against a serial ``Engine.batch`` over the same requests, on every
 available kernel backend; the rest of the file covers the moving parts
 (scheduler coalescing, admission control, the shared cache, replica
-isolation, metrics) and the Engine's own thread-safety regression.
+isolation, metrics) and the Engine's own thread-safety regression.  The
+client-contract tests run on both front ends, ``Server`` and its
+sharded subclass ``Router``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import socket
 import threading
 import time
 from concurrent.futures import wait
@@ -34,6 +39,8 @@ from repro.serving import (
     Server,
     percentiles,
 )
+from repro.serving import server as server_module
+from repro.sharding import Router
 
 
 @pytest.fixture(params=kernels.available_backends())
@@ -43,6 +50,19 @@ def each_backend(request):
     kernels.set_backend(request.param)
     yield request.param
     kernels.set_backend(previous)
+
+
+#: Both serving front ends: a Router is a Server whose one worker serves
+#: on ``Engine.shard()``, so the client-contract tests run on each.
+FRONT_ENDS = (Server, Router)
+
+
+def assert_segments_released(server) -> None:
+    """Closing a sharded front end unlinked every ``/dev/shm`` segment
+    behind it (a threads-only server has none)."""
+    if isinstance(server, Router):
+        for name in server.engine.shards._store.segment_names:
+            assert not os.path.exists("/dev/shm/" + name.lstrip("/")), name
 
 
 @pytest.fixture(scope="module")
@@ -226,12 +246,21 @@ class TestScoreCache:
 
 class TestScheduler:
     def test_parameters_validated(self):
-        with pytest.raises(ParameterError):
-            Scheduler(max_batch=0)
-        with pytest.raises(ParameterError):
-            Scheduler(max_wait_ms=-1)
-        with pytest.raises(ParameterError):
-            Scheduler(max_pending=-1)
+        for bad in (
+            {"max_batch": 0},
+            {"max_wait_ms": -1},
+            {"max_pending": -1},
+            # NaN would pass a plain ``< 0`` check and never dispatch.
+            {"max_wait_ms": float("nan")},
+            {"max_wait_ms": float("inf")},
+            # Counts follow validate_k: no truncation, no bools.
+            {"max_batch": 2.5},
+            {"max_batch": True},
+            {"max_pending": True},
+            {"max_pending": 8.0},
+        ):
+            with pytest.raises(ParameterError):
+                Scheduler(**bad)
 
     def test_coalesces_up_to_max_batch(self):
         scheduler = Scheduler(max_batch=4, max_wait_ms=1000.0)
@@ -389,17 +418,58 @@ class TestServerMechanics:
             Server(served_method, workers=0)
 
     def test_submit_validates_before_enqueue(self, served_method):
-        with Server(served_method, workers=1) as server:
-            for bad in (0, 2.5, True, "3"):
-                with pytest.raises(ParameterError):
-                    server.submit(QueryRequest(seed=0, k=bad))
-            with pytest.raises(ValueError):
-                server.submit(QueryRequest(seed=10**9, k=5))
-            with pytest.raises(TypeError):
-                server.submit(QueryRequest(seed=1.5, k=5))  # type: ignore
-            # The poisoned submissions never reached a worker; the
-            # server still serves.
-            assert server.query(0, k=3, timeout=30.0).seed == 0
+        for front in FRONT_ENDS:
+            with front(served_method) as server:
+                for bad in (0, 2.5, True, "3"):
+                    with pytest.raises(ParameterError):
+                        server.submit(QueryRequest(seed=0, k=bad))
+                with pytest.raises(ValueError):
+                    server.submit(QueryRequest(seed=10**9, k=5))
+                with pytest.raises(TypeError):
+                    server.submit(QueryRequest(seed=1.5, k=5))  # type: ignore
+                # The poisoned submissions never reached a worker; the
+                # server still serves.
+                assert server.query(0, k=3, timeout=30.0).seed == 0
+
+    @pytest.mark.parametrize("front", FRONT_ENDS, ids=["Server", "Router"])
+    @pytest.mark.parametrize("failure", ["busy_port", "after_start"])
+    def test_failed_constructor_leaks_nothing(
+        self, small_community, front, failure, monkeypatch
+    ):
+        """A constructor that raises releases every thread, process,
+        segment and port it started before re-raising."""
+        prefix = f"repro-shm-{os.getpid()}-"
+
+        def segments() -> set:
+            return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+
+        def repro_threads() -> set:
+            return {
+                thread for thread in threading.enumerate()
+                if thread.name.startswith("repro-")
+            }
+
+        segments_before, threads_before = segments(), repro_threads()
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            if failure == "after_start":
+                # The last step of construction fails, after the worker
+                # threads (and any shard processes) already run.
+                def broken(*args, **kwargs):
+                    raise OSError("supervisor could not start")
+
+                monkeypatch.setattr(server_module, "Supervisor", broken)
+                port = 0
+            with pytest.raises(OSError):
+                front(
+                    TPA(s_iteration=4, t_iteration=8), small_community,
+                    obs_port=port,
+                )
+        assert segments() <= segments_before
+        assert not multiprocessing.active_children()
+        assert repro_threads() <= threads_before
 
     def test_overload_backpressure(self, small_community):
         method = SlowMethod(delay=0.2)
@@ -415,17 +485,23 @@ class TestServerMechanics:
                     server.submit(QueryRequest(seed=seed, k=2))
 
     def test_close_drains_pending(self, served_method):
-        server = Server(served_method, workers=2, max_batch=4)
-        futures = [
-            server.submit(QueryRequest(seed=seed, k=5)) for seed in range(24)
-        ]
-        server.close()  # drain=True: every future must complete
-        done, not_done = wait(futures, timeout=60.0)
-        assert not not_done
-        assert all(future.result().top_nodes is not None for future in done)
-        with pytest.raises(RuntimeError):
-            server.submit(QueryRequest(seed=0, k=5))
-        server.close()  # idempotent
+        for front in FRONT_ENDS:
+            server = front(served_method, max_batch=4)
+            assert server.query(0, k=5, timeout=30.0).top_nodes.size == 5
+            futures = [
+                server.submit(QueryRequest(seed=seed, k=5))
+                for seed in range(24)
+            ]
+            server.close()  # drain=True: every future must complete
+            done, not_done = wait(futures, timeout=60.0)
+            assert not not_done
+            assert all(
+                future.result().top_nodes is not None for future in done
+            )
+            with pytest.raises(RuntimeError):
+                server.submit(QueryRequest(seed=0, k=5))
+            server.close()  # idempotent
+            assert_segments_released(server)
 
     def test_close_without_drain_cancels(self, small_community):
         method = SlowMethod(delay=0.1)
@@ -484,23 +560,29 @@ class TestServerMechanics:
             assert good.seed == 5
 
     def test_stats_shape(self, served_method):
-        with Server(served_method, workers=2, cache_size=16) as server:
-            server.batch(
-                [QueryRequest(seed=seed, k=4) for seed in range(40)],
-                timeout=60.0,
+        for front in FRONT_ENDS:
+            with front(served_method, cache_size=16) as server:
+                server.batch(
+                    [QueryRequest(seed=seed, k=4) for seed in range(40)],
+                    timeout=60.0,
+                )
+                stats = server.stats()
+            assert stats["workers"] == (1 if front is Router else 2)
+            assert stats["completed"] == 40
+            assert stats["queries_served"] == 40
+            assert stats["throughput_qps"] > 0
+            assert (
+                stats["latency_p50_ms"]
+                <= stats["latency_p95_ms"]
+                <= stats["latency_p99_ms"]
+                <= stats["latency_max_ms"]
             )
-            stats = server.stats()
-        assert stats["workers"] == 2
-        assert stats["completed"] == 40
-        assert stats["queries_served"] == 40
-        assert stats["throughput_qps"] > 0
-        assert (
-            stats["latency_p50_ms"]
-            <= stats["latency_p95_ms"]
-            <= stats["latency_p99_ms"]
-            <= stats["latency_max_ms"]
-        )
-        assert stats["cache"]["capacity"] == 16
+            assert stats["cache"]["capacity"] == 16
+            if front is Router:
+                assert stats["shards"]["num_shards"] == 2
+                assert stats["shards"]["steps"] > 0
+            else:
+                assert stats["shards"] is None
 
 
 # -- Replication ---------------------------------------------------------------
