@@ -469,6 +469,42 @@ class TestRouter:
             np.testing.assert_array_equal(first.top_nodes, second.top_nodes)
             assert router.cache.stats()["hits"] >= 1
 
+    def test_submit_validates_before_enqueue(self, small_community):
+        with Router(
+            TPA(s_iteration=4, t_iteration=8), small_community, num_shards=2
+        ) as router:
+            for bad in (0, 2.5, True, "3"):
+                with pytest.raises(ParameterError):
+                    router.submit(QueryRequest(seed=0, k=bad))
+            with pytest.raises(ValueError):
+                router.submit(QueryRequest(seed=10**9, k=5))
+
+    def test_close_is_idempotent_and_final(self, small_community):
+        router = Router(
+            TPA(s_iteration=4, t_iteration=8), small_community, num_shards=2
+        )
+        names = router.engine.shards._store.segment_names
+        result = router.query(0, k=5)
+        assert result.top_nodes.size == 5
+        router.close()
+        router.close()
+        assert_no_segments(names)
+        with pytest.raises(RuntimeError):
+            router.submit(QueryRequest(seed=0, k=5))
+
+    def test_stats_shape(self, small_community):
+        with Router(
+            TPA(s_iteration=4, t_iteration=8), small_community,
+            num_shards=2, cache_size=16,
+        ) as router:
+            router.batch([QueryRequest(seed=s, k=5) for s in range(10)])
+            stats = router.stats()
+        assert stats["completed"] == 10
+        assert stats["queries_served"] == 10
+        assert stats["shards"]["num_shards"] == 2
+        assert stats["shards"]["steps"] > 0
+        assert "cache" in stats
+
 
 class TestCrashRecovery:
     """Satellite: a SIGKILLed shard worker must not change results.
