@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark file regenerates one of the paper's tables or figures (see
-DESIGN.md §3).  Benchmarks run on reduced-scale analogs by default so the
+Each benchmark file regenerates one of the paper's tables or figures (the
+ids of ``repro.experiments.registry.EXPERIMENTS``).  Benchmarks run on reduced-scale analogs by default so the
 whole suite finishes in minutes; set ``REPRO_BENCH_SCALE`` (e.g. ``1.0``)
 for full-size analog runs.
 

@@ -1,6 +1,6 @@
 """Ablation benchmark — contribution of each TPA approximation.
 
-DESIGN.md's ablation target: the full method must beat both
+The ablation target: the full method must beat both
 single-approximation variants on L1 error, quantifying the paper's
 Section IV-C claim that the two approximations compensate each other.
 """

@@ -19,7 +19,6 @@ import time
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.tpa import TPA
 from repro.engine import Engine, QueryRequest
 from repro.graph.generators import community_graph
@@ -148,16 +147,16 @@ def fused_topk_setup():
     )
     requests = [QueryRequest(seed=int(seed), k=TOPK_K) for seed in seeds]
     engine = Engine(method, stream_block=TOPK_BATCH // 4)
-    # Warm both paths (JIT compilation, retained workspace buffers, the
-    # decayed-operator cache).
+    # Warm both paths (retained workspace buffers, the decayed-operator
+    # cache).
     engine.batch(requests)
     materialized_topk(method, seeds, TOPK_K)
     return graph, method, engine, seeds, requests
 
 
 def test_fused_topk_matches_materialized(fused_topk_setup):
-    """Correctness of the streamed schedule on every backend: the fused
-    Engine.batch / Engine.serve rankings equal the materialized loop."""
+    """Correctness of the streamed schedule: the fused Engine.batch /
+    Engine.serve rankings equal the materialized loop."""
     graph, method, engine, seeds, requests = fused_topk_setup
     reference = materialized_topk(method, seeds, TOPK_K)
     results = engine.batch(requests)
@@ -168,49 +167,6 @@ def test_fused_topk_matches_materialized(fused_topk_setup):
         assert (rankings[row, picks.size:] == -1).all()
 
 
-@pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason="numba not installed; the compiled selection kernel cannot run",
-)
-def test_fused_topk_at_least_1p5x_materialized(fused_topk_setup):
-    """Acceptance floor for the blocked ranking pipeline: streamed
-    Engine.batch over top-k requests >= 1.5x the
-    materialize-then-argpartition path on a >= 100k-edge graph.
-
-    The win is the fused compiled selection plus never touching the full
-    (B, n) matrix; like the other wall-clock floors this takes min over
-    repeats with a few retry attempts.
-    """
-    import numba
-
-    if numba.get_num_threads() < 2:
-        pytest.skip("single-threaded runtime: no parallel win to measure")
-
-    graph, method, engine, seeds, requests = fused_topk_setup
-    best_speedup = 0.0
-    fused_seconds = materialized_seconds = 0.0
-    for attempt in range(4):
-        if attempt:
-            time.sleep(2.0)  # ride out short contention windows
-        materialized_seconds = _best_of(
-            lambda: materialized_topk(method, seeds, TOPK_K), repeats=3
-        )
-        fused_seconds = _best_of(lambda: engine.batch(requests), repeats=3)
-        best_speedup = max(best_speedup, materialized_seconds / fused_seconds)
-        if best_speedup >= 1.65:
-            break
-    assert best_speedup >= 1.5, (
-        f"streamed top-{TOPK_K} Engine.batch must be >= 1.5x the "
-        f"materialize-then-argpartition path on {graph.num_edges} edges; "
-        f"got {best_speedup:.2f}x (fused {fused_seconds * 1e3:.1f} ms, "
-        f"materialized {materialized_seconds * 1e3:.1f} ms)"
-    )
-
-
-@pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason="numba not installed; the compiled selection kernel cannot run",
-)
 def test_server_coalescing_beats_serial_single_queries(throughput_setup):
     """Acceptance floor for the serving subsystem: N threads issuing
     single-seed top-k requests through the micro-batching Server beat N
@@ -223,11 +179,6 @@ def test_server_coalescing_beats_serial_single_queries(throughput_setup):
     client threads.  Wall-clock floors are min over repeats with retry
     attempts, like every other floor in this file.
     """
-    import numba
-
-    if numba.get_num_threads() < 2:
-        pytest.skip("single-threaded runtime: no parallel win to measure")
-
     graph, method, seeds = throughput_setup
     serial_engine = Engine(method)
     serial_engine.query(int(seeds[0]), k=TOPK_K)  # warm the ranking path
@@ -254,7 +205,7 @@ def test_server_coalescing_beats_serial_single_queries(throughput_setup):
             for thread in threads:
                 thread.join()
 
-        concurrent_pass()  # warm every replica's workspace + JIT
+        concurrent_pass()  # warm every replica's workspace
         best_speedup = 0.0
         best_serial = best_concurrent = 0.0
         for attempt in range(4):
@@ -323,7 +274,7 @@ def test_observability_overhead_within_generous_floor(throughput_setup):
             method, workers=2, max_batch=BATCH, max_wait_ms=2.0,
             max_pending=4 * BATCH,
         ) as server:
-            closed_loop(server)  # warm replicas + JIT
+            closed_loop(server)  # warm replicas
             return max(closed_loop(server) for _ in range(3))
 
     instrumented = measure()
@@ -335,58 +286,4 @@ def test_observability_overhead_within_generous_floor(throughput_setup):
     assert instrumented >= 0.6 * bare, (
         f"metrics-on serving throughput {instrumented:.1f} q/s fell below "
         f"60% of the metrics-off {bare:.1f} q/s"
-    )
-
-
-@pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason="numba not installed; the compiled backend cannot run",
-)
-def test_numba_spmm_at_least_2x_numpy_fallback():
-    """Acceptance floor for the compiled kernel layer: the thread-parallel
-    Numba SpMM beats the single-threaded NumPy fallback by >= 2x on a
-    >= 100k-edge synthetic graph.
-
-    The win is thread parallelism, so the test is skipped (not failed)
-    when the runtime offers a single thread; wall-clock floors are min
-    over repeats with a few attempts, as in the batch-speedup test.
-    """
-    import numba
-
-    if numba.get_num_threads() < 2:
-        pytest.skip("single-threaded runtime: no parallel win to measure")
-
-    graph = community_graph(25_000, avg_degree=8, num_communities=64, seed=3)
-    assert graph.num_edges >= 100_000
-    operator = graph.transition_transpose
-    x = np.random.default_rng(0).random((graph.num_nodes, 32))
-    out = np.empty_like(x)
-
-    previous = kernels.get_backend()
-    best_speedup = 0.0
-    numba_seconds = numpy_seconds = 0.0
-    try:
-        for attempt in range(4):
-            if attempt:
-                time.sleep(1.0)  # ride out short contention windows
-            kernels.set_backend("numba")
-            kernels.spmm(operator, x, out=out)  # JIT warm-up / code cache
-            numba_seconds = _best_of(
-                lambda: kernels.spmm(operator, x, out=out), repeats=5
-            )
-            kernels.set_backend("numpy")
-            kernels.spmm(operator, x, out=out)
-            numpy_seconds = _best_of(
-                lambda: kernels.spmm(operator, x, out=out), repeats=5
-            )
-            best_speedup = max(best_speedup, numpy_seconds / numba_seconds)
-            if best_speedup >= 2.2:
-                break
-    finally:
-        kernels.set_backend(previous)
-    assert best_speedup >= 2.0, (
-        f"numba SpMM must be >= 2x the numpy fallback on "
-        f"{graph.num_edges} edges x 32 columns; got {best_speedup:.2f}x "
-        f"(numba {numba_seconds * 1e3:.1f} ms, "
-        f"numpy {numpy_seconds * 1e3:.1f} ms)"
     )

@@ -30,17 +30,15 @@ The original single-seed API remains fully supported:
 >>> method.preprocess(graph)          # Algorithm 2: stranger approximation
 >>> scores = method.query(0)          # Algorithm 3: family + neighbor approx
 
-Kernel backends, float32 mode, and the perf trajectory
-------------------------------------------------------
+Kernels, float32 mode, and the perf trajectory
+----------------------------------------------
 Every hot loop (CPI iterates, TPA's phases, the power-iteration
-baselines) runs its CSR SpMV/SpMM products on :mod:`repro.kernels`,
-which auto-selects a Numba-JIT, thread-parallel backend at import when
-Numba is installed and otherwise uses a pure NumPy/SciPy fallback that
-is bitwise identical to the plain ``operator @ x`` path.  Control it
-with ``REPRO_KERNEL=numba|numpy`` or ``repro.kernels.set_backend``:
+baselines) runs its CSR SpMV/SpMM products on :mod:`repro.kernels`:
+NumPy/SciPy row stripes that borrow idle cores and are bitwise
+identical to the plain ``operator @ x`` path at any thread count.
 
 >>> from repro import kernels
->>> kernels.get_backend() in ("numba", "numpy")
+>>> kernels.get_backend() == "numpy"
 True
 
 Opt into single-precision compute with ``REPRO_KERNEL_DTYPE=float32``

@@ -43,7 +43,7 @@ def _matrix_powers(graph: Graph, max_power: int) -> list[sp.csr_array | np.ndarr
             # Powers commute, so advancing from the left keeps the
             # computation one blocked CSR x dense product on the kernel
             # layer — O(nnz · n) instead of the dense GEMM's O(n³), and
-            # thread-parallel under the numba backend.
+            # row-striped across idle cores.
             current = kernels.spmm(base, current)
         else:
             current = (current @ base).tocsr()

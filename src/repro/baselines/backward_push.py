@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 
@@ -74,21 +73,6 @@ def backward_push(
     estimate = np.zeros(n)
     residual = np.zeros(n)
     residual[target] = 1.0
-
-    # Compiled twin of the loop below (see forward_push for the contract).
-    pushes = kernels.backward_push_loop(
-        indptr, indices, weights, rmax, c, target, max_pushes,
-        estimate, residual,
-    )
-    if pushes is not None:
-        if pushes < 0:
-            raise ParameterError(
-                f"backward_push exceeded {max_pushes} pushes; rmax={rmax} "
-                "is too small for this graph"
-            )
-        return BackwardPushResult(
-            estimate=estimate, residual=residual, pushes=pushes
-        )
 
     queue: deque[int] = deque([target])
     in_queue = np.zeros(n, dtype=bool)

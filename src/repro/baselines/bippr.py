@@ -21,10 +21,8 @@ Unlike the other classes it exposes a *pair* API (:meth:`query_pair`)
 alongside the whole-vector adapter required by :class:`PPRMethod`.
 
 The hot loop of both APIs is :func:`~repro.baselines.backward_push.
-backward_push` (one run per target in the whole-vector adapter), which
-executes on the compiled queue kernel whenever the Numba backend of
-:mod:`repro.kernels` is active — BiPPR needs no code of its own to
-benefit from the kernel layer.
+backward_push` (one run per target in the whole-vector adapter) — BiPPR
+needs no queue loop of its own.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 
@@ -98,23 +97,6 @@ def forward_push(
     residual[seed] = 1.0
 
     threshold = rmax * np.maximum(out_degree, 1) if degree_scaled else np.full(n, rmax)
-
-    # The queue loop is interpreter-bound; when the Numba kernel backend
-    # is active, run the compiled twin (operation-for-operation identical
-    # to the loop below) instead.
-    pushes = kernels.forward_push_loop(
-        indptr, indices, np.asarray(threshold, dtype=np.float64),
-        c, seed, max_pushes, estimate, residual,
-    )
-    if pushes is not None:
-        if pushes < 0:
-            raise ParameterError(
-                f"forward_push exceeded {max_pushes} pushes; rmax={rmax} is "
-                "too small for this graph"
-            )
-        return ForwardPushResult(
-            estimate=estimate, residual=residual, pushes=pushes
-        )
 
     queue: deque[int] = deque([seed])
     in_queue = np.zeros(n, dtype=bool)

@@ -1032,10 +1032,8 @@ class Engine:
     # The cache is a thread-safe ScoreCache (repro.serving.cache), either
     # private to this engine (cache_size > 0) or shared across replicas
     # (cache=...).  It keys on (seed, kernels.cache_token()): the token
-    # names the active backend and compute dtype, so a float32 run can
-    # never be answered from a cached float64 vector (or vice versa), and
-    # entries computed under a different backend never masquerade as the
-    # current one's.
+    # names the backend and compute dtype, so a float32 run can never be
+    # answered from a cached float64 vector (or vice versa).
 
     def _cache_get(
         self, seed: int, token: str | None = None

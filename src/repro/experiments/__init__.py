@@ -8,7 +8,9 @@ tables.  Run them from the command line::
     python -m repro.experiments fig1 fig7 --seeds 5
     python -m repro.experiments all --markdown results.md
 
-The mapping from experiment id to paper artifact lives in DESIGN.md §3.
+Experiment ids are the paper's artifact names (``table2``, ``fig1`` …
+``fig10``, ``table3``) plus ``ablation`` and ``scaling``; the mapping is
+:data:`repro.experiments.registry.EXPERIMENTS`.
 """
 
 from repro.experiments.config import ExperimentConfig

@@ -36,7 +36,8 @@ def run(config: ExperimentConfig) -> list[ExperimentResult]:
             spec.t_iteration,
         )
     table.add_note(
-        "Analogs are community-structured power-law digraphs (DESIGN.md §4); "
+        "Analogs are community-structured power-law digraphs "
+        "(rationale: the repro.graph.datasets docstring); "
         f"scale factor {config.scale}."
     )
     return [table]

@@ -7,7 +7,8 @@ each dataset here is a *deterministic synthetic analog*: a community-
 structured power-law digraph (see :func:`~repro.graph.generators.
 community_graph`) whose node count, edge density ordering (``m/n``), and
 per-dataset ``S``/``T`` parameters mirror Table II at roughly 1/40 – 1/3400
-linear scale.  The substitution rationale is recorded in DESIGN.md §4.
+linear scale.  This docstring is the substitution rationale that the
+``table2`` experiment report cites.
 
 Analog sizes can be scaled with the ``REPRO_SCALE`` environment variable or
 the ``scale`` argument of :func:`load_dataset` (e.g. ``scale=4.0`` makes

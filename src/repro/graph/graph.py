@@ -247,8 +247,8 @@ class Graph:
         This is the single SpMV/SpMM at the heart of every CPI iteration
         (Algorithm 1, line 4 — without the ``1-c`` decay, which the callers
         apply so the operator itself stays exactly stochastic).  The
-        product runs on the active :mod:`repro.kernels` backend; the
-        NumPy fallback is bitwise identical to ``Ã^T @ x``.  A float32
+        product runs on :mod:`repro.kernels` and is bitwise identical to
+        ``Ã^T @ x``.  A float32
         operand is multiplied against a cached float32 cast of the
         operator, keeping the whole product in single precision.
         """

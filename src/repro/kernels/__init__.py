@@ -1,4 +1,4 @@
-"""Compiled sparse-kernel layer: CSR-native SpMV/SpMM under every hot loop.
+"""Sparse-kernel layer: CSR-native SpMV/SpMM under every hot loop.
 
 Everything the paper's method does — CPI iterates (Algorithm 1), TPA's
 family/neighbor/stranger phases (Algorithms 2–3), and every
@@ -9,40 +9,27 @@ power-iteration baseline — bottoms out in repeated sparse matrix–vector
 * :func:`spmv` / :func:`spmm` — CSR-native products with caller-supplied
   output buffers (no per-iteration allocation);
 * :func:`select_top_k` / :func:`select_top_k_many` — the ranking
-  primitives (:mod:`repro.kernels.topk`): batch-parallel bounded-heap
-  top-k selection on the Numba backend, the looped ``argpartition``
-  reference on NumPy — identical ban and tie semantics;
+  primitives (:mod:`repro.kernels.topk`): the ``argpartition`` selection,
+  row-striped across idle cores for a batch — one ban and tie contract;
 * :func:`rows_from_panel` — the cache-blocked ``(n, B)`` → ``(B, n)``
   transposition that hands iterate panels to the ranking side as
   contiguous rows;
-* two interchangeable backends (see :mod:`repro.kernels.backend`):
-  a Numba-JIT, ``prange``-parallel implementation auto-selected at import
-  when Numba is installed, and a pure NumPy/SciPy fallback that is
-  bitwise identical to the pre-kernel ``operator @ x`` code path;
+* one implementation (see :mod:`repro.kernels.backend`): NumPy/SciPy
+  row stripes, bitwise identical to the pre-kernel ``operator @ x`` code
+  path;
 * :class:`Workspace` — named, retained iterate buffers for ping-pong
   loops (counted in ``preprocessed_bytes`` so memory figures stay honest);
 * :func:`locality_reordering` — the SlashBurn row reordering that makes
-  the blocked SpMM cache friendly (``Engine(..., reorder="slashburn")``);
-* JIT'd queue loops for forward/backward push, used automatically by
-  :mod:`repro.baselines` when the Numba backend is active.
+  the blocked SpMM cache friendly (``Engine(..., reorder="slashburn")``).
 
-Backend selection
------------------
-``REPRO_KERNEL=numba|numpy`` (environment) or :func:`set_backend` (API).
-Auto-selection prefers Numba when importable.  The NumPy fallback never
-changes results: it calls the very SciPy kernels ``csr_array @ x``
-dispatches to.  The Numba backend accumulates each output row in the same
-stored-index order, and the suite holds it to ``<= 1e-12`` agreement.
-
-Threads: borrowing idle cores (NumPy backend)
----------------------------------------------
-Thread count is one policy for both backends: :func:`set_num_threads` /
+Threads: borrowing idle cores
+-----------------------------
+Thread count is one policy: :func:`set_num_threads` /
 ``REPRO_KERNEL_THREADS`` / ``TuneProfile.kernel_threads``, default the
 cores this process may run on (``sched_getaffinity``); :func:`num_threads`
-reports it.  Numba applies it to its ``prange`` pool.  The NumPy backend
-applies it as a *ceiling*: SciPy's sparsetools and NumPy's
-copy/partition loops release the interpreter lock, so :func:`spmv`,
-:func:`spmm` and the fallback :func:`select_top_k_many` run as
+reports it.  The kernels apply it as a *ceiling*: SciPy's sparsetools
+and NumPy's copy/partition loops release the interpreter lock, so
+:func:`spmv`, :func:`spmm` and :func:`select_top_k_many` run as
 contiguous row stripes — balanced by nonzeros for the products
 (degrees are heavy-tailed), by rows for the selection — the caller
 computing the first stripe and a lazily started, per-process pool of
@@ -101,7 +88,7 @@ approximation error ``2(1-c)^S`` (≈ 0.89 at the paper's S=5 defaults) and
 below typical recall@k sensitivity.  Use float64 (default) when scores
 feed error-bound experiments (Table III) or convergence studies with
 ``tol < 1e-6`` — a float32 iterate cannot certify residuals near machine
-epsilon.  Caches must key on :func:`cache_token`, which names the active
+epsilon.  Caches must key on :func:`cache_token`, which names the
 backend, shard annotation, graph generation, and compute dtype; the
 Engine's LRU does.
 
@@ -119,20 +106,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.kernels import _numpy_backend
 from repro.kernels.backend import (
-    available_backends,
     cache_token,
     compute_dtype,
     get_backend,
     kernel_threads,
     num_threads,
-    numba_available,
-    set_backend,
     set_compute_dtype,
     set_num_threads,
     set_shard_annotation,
     shard_annotation,
-    _backend_module,
 )
 from repro.kernels.reorder import LocalityReordering, locality_reordering
 from repro.kernels.tiling import rows_from_panel
@@ -145,10 +129,7 @@ __all__ = [
     "scaled_values",
     "select_top_k",
     "select_top_k_many",
-    "available_backends",
     "get_backend",
-    "set_backend",
-    "numba_available",
     "compute_dtype",
     "set_compute_dtype",
     "cache_token",
@@ -161,8 +142,6 @@ __all__ = [
     "LocalityReordering",
     "locality_reordering",
     "rows_from_panel",
-    "forward_push_loop",
-    "backward_push_loop",
 ]
 
 
@@ -222,7 +201,7 @@ def _prepare_out(
 
 
 def spmv(matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``matrix @ x`` for a CSR matrix and 1-D ``x`` via the active backend.
+    """``matrix @ x`` for a CSR matrix and 1-D ``x``.
 
     ``out``, when given, must be a C-contiguous vector of the matrix's
     dtype and row count; it is overwritten and returned.  The operand is
@@ -230,7 +209,7 @@ def spmv(matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     x = _prepare_operand(matrix, x, 1)
     out = _prepare_out(matrix, x, out, (matrix.shape[0],))
-    return _backend_module().spmv(matrix, x, out)
+    return _numpy_backend.spmv(matrix, x, out)
 
 
 def spmm(matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -242,30 +221,9 @@ def spmm(matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     x = _prepare_operand(matrix, x, 2)
     out = _prepare_out(matrix, x, out, (matrix.shape[0], x.shape[1]))
-    return _backend_module().spmm(matrix, x, out)
+    return _numpy_backend.spmm(matrix, x, out)
 
 
 #: Only caller: the frozen benchmark's ``kernels.spmm_tiled_ratio`` rung
 #: (``benchmarks/ladder/ladder.py`` and its smoke test).
 spmm_tiled = spmm
-
-
-def forward_push_loop(*args) -> int | None:
-    """Run the forward-push queue loop on the active backend.
-
-    Returns the push count (``-1`` for a ``max_pushes`` overrun) or
-    ``None`` when the active backend has no compiled loop — the caller
-    runs its reference Python implementation instead.
-    """
-    loop = getattr(_backend_module(), "forward_push_loop", None)
-    if loop is None:
-        return None
-    return loop(*args)
-
-
-def backward_push_loop(*args) -> int | None:
-    """Backward-push counterpart of :func:`forward_push_loop`."""
-    loop = getattr(_backend_module(), "backward_push_loop", None)
-    if loop is None:
-        return None
-    return loop(*args)

@@ -311,16 +311,3 @@ def spmm(matrix, x: np.ndarray, out: np.ndarray):
 #: The SpMV is the same routine (one frame fewer on the small-call path
 #: than a wrapper).
 spmv = spmm
-
-
-#: The bounded-heap batched selection only exists compiled; the dispatcher
-#: in ``repro.kernels.topk`` runs the looped ``select_top_k`` reference
-#: (row-striped through :func:`striped`) when the active backend signals
-#: None here.
-select_top_k_many = None
-
-#: The queue-based push loops have no NumPy vectorization; the reference
-#: Python implementations in ``repro.baselines.forward_push`` /
-#: ``backward_push`` are this backend's implementation, signalled by None.
-forward_push_loop = None
-backward_push_loop = None

@@ -1,20 +1,11 @@
-"""Backend selection and compute-dtype policy for the sparse-kernel layer.
+"""Compute-dtype, thread and cache-token policy for the sparse-kernel layer.
 
-The kernel layer offers two implementations of the CSR primitives:
-
-``"numba"``
-    JIT-compiled, ``prange``-parallel kernels (:mod:`._numba_backend`).
-    Auto-selected at import when Numba is installed.
-``"numpy"``
-    A pure NumPy/SciPy fallback (:mod:`._numpy_backend`) that is *bitwise
-    identical* to ``csr_array @ x`` — the code path every hot loop used
-    before the kernel layer existed.
-
-Selection happens once at import (``REPRO_KERNEL=numba|numpy`` overrides
-the auto-detection) and can be changed at runtime with :func:`set_backend`.
-Detection uses ``importlib.util.find_spec`` so importing this module stays
-cheap; the Numba module itself is only imported — and its kernels only
-compiled — on first use.
+The kernel layer has one implementation of the CSR primitives, the
+NumPy/SciPy row stripes in :mod:`._numpy_backend`.  Each stripe calls the
+very SciPy kernel ``csr_array @ x`` dispatches to, so results are
+*bitwise identical* to that product at any thread count.
+:func:`get_backend` names it (``"numpy"``) for run records and for the
+backend component of :func:`cache_token`.
 
 The *compute dtype* policy lives here too: ``float64`` (default, exact) or
 the opt-in ``float32`` (``REPRO_KERNEL_DTYPE=float32`` or
@@ -24,11 +15,8 @@ error impact.
 
 from __future__ import annotations
 
-import importlib
-import importlib.util
 import os
 import warnings
-from types import ModuleType
 
 import numpy as np
 
@@ -36,10 +24,7 @@ from repro.exceptions import ParameterError
 from repro.kernels import _numpy_backend
 
 __all__ = [
-    "available_backends",
     "get_backend",
-    "set_backend",
-    "numba_available",
     "compute_dtype",
     "set_compute_dtype",
     "cache_token",
@@ -50,53 +35,7 @@ __all__ = [
     "kernel_threads",
 ]
 
-_BACKEND_NAMES = ("numba", "numpy")
-
-#: Detected once at import; tests monkeypatch this to simulate a missing
-#: Numba installation (the forced-fallback path).
-_NUMBA_INSTALLED = importlib.util.find_spec("numba") is not None
-
 _DTYPES = {"float32": np.float32, "float64": np.float64}
-
-
-def numba_available() -> bool:
-    """Whether the Numba backend can be activated in this environment."""
-    return _NUMBA_INSTALLED
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in this environment, preferred first."""
-    if _NUMBA_INSTALLED:
-        return ("numba", "numpy")
-    return ("numpy",)
-
-
-def _auto_backend() -> str:
-    return "numba" if _NUMBA_INSTALLED else "numpy"
-
-
-def _resolve_env_backend() -> str:
-    requested = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if not requested or requested == "auto":
-        return _auto_backend()
-    if requested not in _BACKEND_NAMES:
-        warnings.warn(
-            f"REPRO_KERNEL={requested!r} is not one of {_BACKEND_NAMES}; "
-            "falling back to auto-selection",
-            stacklevel=2,
-        )
-        return _auto_backend()
-    if requested == "numba" and not _NUMBA_INSTALLED:
-        warnings.warn(
-            "REPRO_KERNEL=numba requested but Numba is not importable; "
-            "using the NumPy fallback",
-            stacklevel=2,
-        )
-        return "numpy"
-    return requested
-
-
-_active_backend: str = _resolve_env_backend()
 
 
 def _resolve_env_dtype() -> type:
@@ -127,15 +66,15 @@ def _resolve_env_threads() -> int | None:
     if value < 1:
         warnings.warn(
             f"REPRO_KERNEL_THREADS={requested!r} is not a positive integer "
-            "or 'auto'; using the backend default",
+            "or 'auto'; using the default",
             stacklevel=2,
         )
         return None
     return value
 
 
-#: Requested kernel thread count; ``None`` means backend default (Numba's
-#: full launch pool; the cores this process may run on for NumPy).
+#: Requested kernel thread count; ``None`` means the default, the cores
+#: this process may run on.
 #: Deliberately **not** part of :func:`cache_token`: the kernels are row
 #: parallel with a fixed per-row accumulation order, so results are
 #: bitwise identical across thread counts — the test suite asserts that
@@ -145,30 +84,25 @@ _numpy_backend.set_num_threads(_kernel_threads)
 
 
 def kernel_threads() -> int | None:
-    """The configured thread-count policy (``None`` = backend default)."""
+    """The configured thread-count policy (``None`` = the default)."""
     return _kernel_threads
 
 
 def num_threads() -> int:
-    """Thread count the active backend may run one kernel call on.
+    """Thread count one kernel call may run on.
 
-    The NumPy backend reports the configured policy (default: the cores
-    this process may run on) — the ceiling of its row stripes; a call
-    uses fewer when its work is small or other callers hold cores
-    (see :mod:`repro.kernels`).  The Numba backend reports its live pool
-    size (the configured policy clamped to the pool Numba launched with
-    — the pool cannot grow after import).
+    This is the configured policy (default: the cores this process may
+    run on) — the ceiling of the row stripes; a call uses fewer when its
+    work is small or other callers hold cores (see :mod:`repro.kernels`).
     """
-    return int(_backend_module().num_threads)
+    return int(_numpy_backend.num_threads)
 
 
 def set_num_threads(count: int | None) -> int | None:
     """Set the kernel thread-count policy; returns the previous setting.
 
     ``count`` must be a positive integer, or ``None``/``"auto"`` to
-    restore the backend default.  The policy caps the Numba backend's
-    ``prange`` pool (applied immediately when Numba is active, or on
-    first activation otherwise) and the NumPy backend's row stripes
+    restore the default.  The policy caps the kernels' row stripes
     (``1`` runs every kernel serially on the calling thread and starts
     no kernel threads).  Thread count never changes results — see
     :data:`_kernel_threads` — so this setting is absent from
@@ -186,43 +120,12 @@ def set_num_threads(count: int | None) -> int | None:
             )
         _kernel_threads = count
     _numpy_backend.set_num_threads(_kernel_threads)
-    if _numba_module is not None:
-        _numba_module.set_num_threads(_kernel_threads)
     return previous
 
 
 def get_backend() -> str:
-    """Name of the active backend (``"numba"`` or ``"numpy"``)."""
-    return _active_backend
-
-
-def set_backend(name: str | None) -> str:
-    """Select the kernel backend; returns the previously active name.
-
-    ``name`` may be ``"numba"``, ``"numpy"``, or ``"auto"``/``None`` to
-    re-run the import-time selection (``REPRO_KERNEL`` included, so a
-    forced-fallback environment stays forced).  Requesting ``"numba"``
-    when Numba is not importable raises
-    :class:`~repro.exceptions.ParameterError` (unlike the env-var route,
-    which warns and falls back — an explicit API call deserves a hard
-    error).
-    """
-    global _active_backend
-    previous = _active_backend
-    if name is None or name == "auto":
-        _active_backend = _resolve_env_backend()
-        return previous
-    if name not in _BACKEND_NAMES:
-        raise ParameterError(
-            f"unknown kernel backend {name!r}; choose from {_BACKEND_NAMES}"
-        )
-    if name == "numba" and not _NUMBA_INSTALLED:
-        raise ParameterError(
-            "the numba backend was requested but Numba is not installed; "
-            "use the 'numpy' fallback or install numba"
-        )
-    _active_backend = name
-    return previous
+    """Name of the kernel implementation, always ``"numpy"``."""
+    return _numpy_backend.name
 
 
 def compute_dtype() -> type:
@@ -309,23 +212,6 @@ def cache_token(graph=None) -> str:
     epoch = getattr(graph, "epoch_token", None)
     generation = "graph-static" if epoch is None else f"graph-{epoch()}"
     return (
-        f"{_active_backend}:{shard}:{generation}:"
+        f"{get_backend()}:{shard}:{generation}:"
         f"{np.dtype(_compute_dtype).name}"
     )
-
-
-_numba_module: ModuleType | None = None
-
-
-def _backend_module() -> ModuleType:
-    """The implementation module of the active backend (lazy import)."""
-    global _numba_module
-    if _active_backend == "numba":
-        if _numba_module is None:
-            _numba_module = importlib.import_module(
-                "repro.kernels._numba_backend"
-            )
-            if _kernel_threads is not None:
-                _numba_module.set_num_threads(_kernel_threads)
-        return _numba_module
-    return _numpy_backend

@@ -10,16 +10,12 @@ this module makes it a kernel like the SpMM:
   ``O(n + k' log k')`` via ``argpartition``.  Accepts a ``scratch``
   buffer so batched callers stop allocating a masked copy per call.
 * :func:`select_top_k_many` — the batched form: one call ranks every row
-  of a ``(B, n)`` matrix into a ``(B, k)`` id matrix padded with ``-1``.
-  On the Numba backend the rows run ``prange``-parallel with a bounded
-  ``k``-element heap per row (no full-row copy, no ``-inf`` masking); the
-  NumPy fallback reproduces the looped :func:`select_top_k` exactly,
-  over contiguous rows and row-striped across idle cores.
+  of a ``(B, n)`` matrix into a ``(B, k)`` id matrix padded with ``-1``,
+  running the looped :func:`select_top_k` over contiguous rows,
+  row-striped across idle cores.
 
-Both forms implement the *same* ordering contract, and the suite holds
-the compiled path to exact agreement with the looped reference
-(including ban and tie cases).  Scores are assumed finite — RWR scores
-always are.
+Both forms implement the *same* ordering contract (including ban and
+tie cases).  Scores are assumed finite — RWR scores always are.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.kernels import _numpy_backend
-from repro.kernels.backend import _backend_module
 from repro.kernels.tiling import rows_from_panel
 
 __all__ = ["select_top_k", "select_top_k_many"]
@@ -160,23 +155,10 @@ def select_top_k_many(
     if rows == 0:
         return out
 
-    impl = getattr(_backend_module(), "select_top_k_many", None)
-    if impl is not None:
-        if scores.dtype not in (np.float32, np.float64):
-            scores = scores.astype(np.float64)
-        # Any layout is accepted: transposed iterate buffers (the shape
-        # cpi_many returns) stream fine row-parallel — no full-matrix
-        # copy just to make rows contiguous.
-        mask = (
-            banned if banned is not None else np.empty((0, 0), dtype=np.bool_)
-        )
-        impl(scores, mask, banned is not None, k, out)
-        return out
-
-    # NumPy fallback: the looped reference over contiguous rows (a
-    # transposed iterate panel would be ranked one strided row at a
-    # time), row-striped across idle cores; each stripe reuses one
-    # masked-copy scratch instead of allocating per row.
+    # The looped reference over contiguous rows (a transposed iterate
+    # panel would be ranked one strided row at a time), row-striped
+    # across idle cores; each stripe reuses one masked-copy scratch
+    # instead of allocating per row.
     if scores.T.flags.c_contiguous and not scores.flags.c_contiguous:
         scores = rows_from_panel(scores.T)
 

@@ -234,7 +234,7 @@ class PPRMethod(ABC):
         Accepts Python ints and any NumPy integer scalar; rejects bools,
         floats and other types with :class:`TypeError` (a truncated float
         seed is almost always a bug) and out-of-range ids with
-        :class:`ValueError`.
+        :class:`~repro.exceptions.ParameterError` (a ``ValueError``).
         """
         if isinstance(seed, (bool, np.bool_)) or not isinstance(
             seed, (int, np.integer)
@@ -245,7 +245,9 @@ class PPRMethod(ABC):
         seed = int(seed)
         n = self.graph.num_nodes
         if not 0 <= seed < n:
-            raise ValueError(f"seed {seed} out of range for graph with {n} nodes")
+            raise ParameterError(
+                f"seed {seed} out of range for graph with {n} nodes"
+            )
         return seed
 
     def validate_seeds(self, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -256,7 +258,9 @@ class PPRMethod(ABC):
         """
         arr = np.asarray(seeds)
         if arr.ndim != 1:
-            raise ValueError(f"seeds must be one-dimensional, got shape {arr.shape}")
+            raise ParameterError(
+                f"seeds must be one-dimensional, got shape {arr.shape}"
+            )
         if arr.size == 0:
             return np.empty(0, dtype=np.int64)
         if arr.dtype == bool or not np.issubdtype(arr.dtype, np.integer):
@@ -267,7 +271,7 @@ class PPRMethod(ABC):
         n = self.graph.num_nodes
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 0 or hi >= n:
-            raise ValueError(
+            raise ParameterError(
                 f"seed ids must lie in [0, {n - 1}]; got range [{lo}, {hi}]"
             )
         return arr

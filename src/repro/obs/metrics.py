@@ -10,7 +10,7 @@ behind labeled *families* in a :class:`Registry`:
         "repro_sweep_seconds", "Per-shard sweep wall time.",
         labelnames=("shard", "backend"),
     )
-    sweeps.labels(shard="2", backend="numba").observe(0.004)
+    sweeps.labels(shard="2", backend="numpy").observe(0.004)
 
 ``registry.expose()`` renders the Prometheus text format (no client
 library involved) and ``registry.snapshot()`` the equivalent JSON

@@ -26,7 +26,7 @@ processes) or :func:`set_profiling`; write the merged profile with
 ``python -m repro obs profile PATH``.
 
 The sampler sees Python frames.  Time spent inside a compiled kernel
-(Numba, BLAS) is attributed to the ``repro.kernels`` call site holding
+(SciPy, BLAS) is attributed to the ``repro.kernels`` call site holding
 the frame — which is exactly the attribution the self-time table wants:
 kernel cost lands on the kernel entry point, not smeared into
 unknowable native frames.

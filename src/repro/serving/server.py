@@ -243,8 +243,7 @@ class Server:
     warm:
         Run one throwaway query per replica before accepting traffic
         (default).  This populates lazily-built shared state (decayed
-        operators, JIT code) serially, so worker threads never race to
-        create it.
+        operators) serially, so worker threads never race to create it.
     tune:
         A :class:`repro.tune.TuneProfile`.  Supplies defaults for every
         knob the caller leaves at ``None`` — ``workers``, ``max_batch``,
@@ -357,7 +356,7 @@ class Server:
             self._engines = self._serving_engines(workers)
             if warm:
                 # One serial pass per serving engine: builds the shared
-                # decayed operator / JIT code before any concurrency, and
+                # decayed operator before any concurrency, and
                 # sizes each engine's retained workspace.  Bypasses the
                 # engines (no stats/cache pollution) and runs in the
                 # *serving* id space, so any valid node works.

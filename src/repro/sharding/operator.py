@@ -97,17 +97,12 @@ def _fold_worker_counters(deltas: dict, shard: int) -> None:
 
 
 def _default_start_method() -> str:
-    """``fork`` where safe, else ``spawn``.
+    """``fork`` where available, else ``spawn``.
 
-    Numba's threading layers are not reliably fork-safe once the parent
-    has run a parallel region (which preprocessing always has), so the
-    compiled backend defaults to ``spawn`` — its on-disk JIT cache keeps
-    the worker warm-up cheap.  The NumPy backend forks, which is fast
-    and inherits nothing stateful.
+    Forking is fast and inherits nothing stateful: the kernel stripe
+    pool restarts empty in the child.
     """
     methods = multiprocessing.get_all_start_methods()
-    if kernels.get_backend() == "numba":
-        return "spawn" if "spawn" in methods else methods[0]
     return "fork" if "fork" in methods else "spawn"
 
 
@@ -127,14 +122,14 @@ class ShardedOperator:
         Column capacity of the shared iterate panels (wider operands are
         chunked).
     start_method:
-        ``multiprocessing`` start method; default picks ``spawn`` under
-        the Numba backend and ``fork`` otherwise.
+        ``multiprocessing`` start method; default ``fork`` where
+        available, else ``spawn``.
     step_timeout:
         Seconds to wait for any worker's step reply before declaring the
         deployment wedged.
     warm:
         Run one throwaway sweep at construction so workers fault in
-        their stripe mappings (and JIT-compile kernels) before traffic.
+        their stripe mappings before traffic.
     pin:
         Pin each worker process to its own disjoint core set
         (:func:`repro.tune.plan_pinning`, NUMA-aware).  Degrades to
@@ -239,10 +234,10 @@ class ShardedOperator:
             for worker in self._workers:
                 worker.wait_ready(self._step_timeout)
             if warm:
-                # Undecayed probe: warms the stripe mappings and JIT
-                # without leaving a needless decay-scaled data copy in
-                # every worker's stripe cache (decay=None shares the
-                # base arrays zero-copy).
+                # Undecayed probe: warms the stripe mappings without
+                # leaving a needless decay-scaled data copy in every
+                # worker's stripe cache (decay=None shares the base
+                # arrays zero-copy).
                 self.propagate(np.zeros((self._n, 1)))
             if supervise:
                 self._supervisor = Supervisor(
@@ -338,7 +333,6 @@ class ShardedOperator:
         if out is None:
             out = np.empty(x.shape, dtype=dtype)
 
-        backend = kernels.get_backend()
         # Dynamic sources may be compacted concurrently: each attempt
         # pins one published base epoch, computes against it, and retries
         # if a compaction republished the stripes mid-sweep — so a sweep
@@ -349,7 +343,7 @@ class ShardedOperator:
                 self._maybe_republish()
                 published = self._published_epoch
             if x.ndim == 1:
-                self._dispatch_chunk(x, out, 0, dtype, decay, backend)
+                self._dispatch_chunk(x, out, 0, dtype, decay)
             else:
                 width = self._store.panel_cols
                 for start in range(0, x.shape[1], width):
@@ -358,7 +352,7 @@ class ShardedOperator:
                     # handles the strided source, so no staging copy here.
                     self._dispatch_chunk(
                         x[:, start:stop], out[:, start:stop],
-                        stop - start, dtype, decay, backend,
+                        stop - start, dtype, decay,
                     )
             if self._dynamic and getattr(self._source, "dirty", False):
                 # Fold the overlay delta router-side: workers only ever
@@ -474,7 +468,6 @@ class ShardedOperator:
         ncols: int,
         dtype: np.dtype,
         decay: float | None,
-        backend: str,
     ) -> None:
         """Scatter one operand chunk, step every worker, gather stripes.
 
@@ -511,7 +504,6 @@ class ShardedOperator:
                         ncols,
                         dtype,
                         decay,
-                        backend,
                         trace=(
                             (context[0], sweep_span.span_id, attempt + 1)
                             if sweep_span is not None
@@ -548,7 +540,6 @@ class ShardedOperator:
         ncols: int,
         dtype: np.dtype,
         decay: float | None,
-        backend: str,
         trace: tuple[str, str, int] | None = None,
     ) -> None:
         """One step fan-out; raises :class:`_SweepFailed` with every
@@ -562,7 +553,7 @@ class ShardedOperator:
         stepped: list[ShardWorker] = []
         for worker in self._workers:
             try:
-                worker.send_step(ncols, dtype, decay, backend, trace=trace)
+                worker.send_step(ncols, dtype, decay, trace=trace)
             except WorkerFailure as failure:
                 failures.append(failure)
             else:
@@ -581,7 +572,7 @@ class ShardedOperator:
                 if isinstance(detail, dict):
                     arrived_at = time.perf_counter()
                     sweep_seconds.labels(
-                        shard=worker.shard, backend=backend
+                        shard=worker.shard, backend=kernels.get_backend()
                     ).observe(float(detail.get("seconds", 0.0)))
                     if detail.get("spans"):
                         obs_trace.ingest_spans(
@@ -645,7 +636,6 @@ class ShardedOperator:
             spec,
             self._store.segment_names if segments is None else segments,
             self._plan.num_shards,
-            kernels.get_backend(),
             pin_cpus=(
                 self._pinning[index] if self._pinning is not None else None
             ),

@@ -56,8 +56,9 @@ __all__ = ["ShardWorker", "shard_worker_main"]
 _log = get_logger("sharding.worker")
 
 #: Default seconds the parent waits for one step reply before declaring
-#: the worker hung.  Generous: a cold Numba worker may JIT-compile its
-#: kernels inside the first step.
+#: the worker hung.  Generous: a step is one stripe product, milliseconds
+#: to seconds even at 200k nodes, so only a wedged worker comes near it
+#: and a slow or heavily shared host never trips it.
 DEFAULT_STEP_TIMEOUT = 300.0
 
 
@@ -105,7 +106,6 @@ def shard_worker_main(
     payload: dict,
     segments: tuple[str, str, str],
     num_shards: int,
-    backend: str,
     conn: Connection,
     pin_cpus: tuple[int, ...] | None = None,
     generation: int = 0,
@@ -207,7 +207,6 @@ def shard_worker_main(
         shard = payload["shard"]
         kernels.set_shard_annotation(f"{shard}/{num_shards}")
         faults.set_scope(f"shard{shard}", generation)
-        kernels.set_backend(backend)
         # Armed like REPRO_FAULTS: re-read from the (inherited)
         # environment, sampler started in *this* process.
         obs_profile.arm()
@@ -279,13 +278,7 @@ def shard_worker_main(
                 if faults.fire("poison_batch") is not None:
                     raise RuntimeError("injected fault: poisoned batch")
                 faults.fire_kill("kill_before_sweep")
-                # Older 6-tuple steps (no trace element) remain valid:
-                # respawn during a rolling upgrade must not wedge on an
-                # unpacking mismatch.
-                _, _, ncols, dtype_name, decay, want_backend = command[:6]
-                trace = command[6] if len(command) > 6 else None
-                if want_backend != kernels.get_backend():
-                    kernels.set_backend(want_backend)
+                _, _, ncols, dtype_name, decay, trace = command
                 dtype = np.dtype(dtype_name)
                 stripe = state["stripe_for"](decay, dtype)
                 n = state["n"]
@@ -365,8 +358,6 @@ class ShardWorker:
         The store's ``(operator, X, Y)`` segment names.
     num_shards:
         Total worker count (for the shard annotation).
-    backend:
-        Kernel backend name the worker starts on.
     pin_cpus:
         Optional cpu ids this worker pins itself to at startup (one
         entry of a :func:`repro.tune.plan_pinning` plan).
@@ -381,7 +372,6 @@ class ShardWorker:
         spec: StripeSpec,
         segments: tuple[str, str, str],
         num_shards: int,
-        backend: str,
         pin_cpus: tuple[int, ...] | None = None,
         generation: int = 0,
     ):
@@ -396,7 +386,7 @@ class ShardWorker:
         self._process = context.Process(
             target=shard_worker_main,
             args=(
-                payload, segments, num_shards, backend, child_conn,
+                payload, segments, num_shards, child_conn,
                 pin_cpus, self.generation,
             ),
             name=f"repro-shard-{spec.shard}",
@@ -442,7 +432,6 @@ class ShardWorker:
         ncols: int,
         dtype: np.dtype,
         decay: float | None,
-        backend: str,
         trace: tuple[str, str, int] | None = None,
     ) -> None:
         """Command one sweep step.  ``trace`` is the optional
@@ -451,7 +440,7 @@ class ShardWorker:
         self._send(
             (
                 "step", self._next_seq(), ncols, np.dtype(dtype).name,
-                decay, backend, trace,
+                decay, trace,
             )
         )
 

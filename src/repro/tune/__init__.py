@@ -2,7 +2,7 @@
 
 Every perf-critical knob in the repo used to be a static default:
 ``stream_block`` (Engine block width), ``max_batch``/``max_wait_ms``
-(Scheduler), worker and shard counts, Numba thread count.  This package
+(Scheduler), worker and shard counts, kernel thread count.  This package
 measures the actual machine and picks them, in three layers:
 
 1. **Measurement** — :func:`repro.tune.probe.probe_measurements` times

@@ -4,11 +4,11 @@ A :class:`MachineFingerprint` captures everything that makes a tuned
 profile transferable — or not: CPU model, logical core count, the CPU
 set this process may actually run on (``sched_getaffinity``), NUMA
 topology, any cgroup CPU quota (containers routinely grant 1.5 cores of
-a 64-core host), the kernel backend and compute dtype, and the library
-versions the measured kernels compile under.  Profiles are cached on
-disk keyed by :meth:`MachineFingerprint.key`, so a profile tuned inside
-a quota-limited container never configures a bare-metal run and a
-Numba-measured profile never configures the NumPy fallback.
+a 64-core host), the kernel backend and compute dtype, and the versions
+of the numeric libraries installed beside the kernels.  Profiles are
+cached on disk keyed by :meth:`MachineFingerprint.key`, so a profile
+tuned inside a quota-limited container never configures a bare-metal
+run and a library upgrade invalidates every stale profile.
 
 The same fingerprint is stamped into every benchmark-ladder result
 (``env.machine``), and ``benchmarks/compare.py`` compares only runs
@@ -22,6 +22,7 @@ cgroup files simply leave fields ``None`` (macOS, restricted sandboxes).
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -132,15 +133,16 @@ def affinity_cpus() -> tuple[int, ...]:
 
 
 def _numba_version() -> str | None:
-    from repro.kernels import numba_available
+    """Installed Numba's version, or ``None``.
 
-    if not numba_available():
-        return None
+    No kernel uses Numba; the field stays so fingerprints, profile keys
+    and benchmark-ladder ``env.machine`` records keep their shape and
+    still tell an environment with Numba from one without.
+    """
     try:
-        import numba
-    except ImportError:  # pragma: no cover - race with uninstall
+        return importlib.metadata.version("numba")
+    except importlib.metadata.PackageNotFoundError:
         return None
-    return str(numba.__version__)
 
 
 @dataclass(frozen=True)

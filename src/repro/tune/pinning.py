@@ -1,6 +1,6 @@
 """Core / NUMA placement for shard workers and server threads.
 
-The numba ``prange`` kernels and the shared-memory shard stripes are
+The kernels' row stripes and the shared-memory shard stripes are
 bandwidth-bound; when the OS migrates a worker between cores (or across
 NUMA nodes) mid-run, its cache- and node-local working set goes with it.
 This module computes a *pinning plan* — disjoint CPU sets, one per

@@ -120,8 +120,8 @@ def probe_measurements(
     vec = rng.random(n).astype(dtype)
     vec_out = np.empty_like(vec)
 
-    # Warm-up pass: JIT compilation and page faults land here, not in a
-    # grid cell (a cold first cell would crown whatever ran second).
+    # Warm-up pass: stripe-pool start-up and page faults land here, not
+    # in a grid cell (a cold first cell would crown whatever ran second).
     kernels.spmv(operator, vec, out=vec_out)
     kernels.spmm(operator, mat, out=mat_out)
 
@@ -158,7 +158,7 @@ def probe_measurements(
         for count in thread_grid:
             kernels.set_num_threads(int(count))
             applied = kernels.num_threads()
-            if applied in threads:  # clamped duplicates collapse
+            if applied in threads:  # a repeated grid entry is timed once
                 continue
             kernels.spmm(operator, ref_x, out=ref_out)
             threads[applied] = _best_of(

@@ -72,32 +72,3 @@ def dangling_graph_uniform():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)
-
-
-@pytest.fixture(scope="session")
-def numba_source_namespace():
-    """The numba backend's kernels, exec'd as plain Python.
-
-    Stripping the ``@njit`` decorators and aliasing ``prange`` to
-    ``range`` turns the compiled kernels into their interpreted twins,
-    so the loop logic (ring-buffer queues, heaps, accumulation order) is
-    tested even in environments without Numba — the code CI's numpy-only
-    leg would otherwise never execute.
-    """
-    import re
-    from pathlib import Path
-
-    path = (
-        Path(__file__).parent.parent
-        / "src" / "repro" / "kernels" / "_numba_backend.py"
-    )
-    source = path.read_text()
-    source = source.replace("import numba\n", "")
-    source = source.replace("from numba import njit, prange", "prange = range")
-    source = source.replace(
-        "num_threads = int(numba.get_num_threads())", "num_threads = 1"
-    )
-    source = re.sub(r"@njit\([^)]*\)\n", "", source)
-    namespace: dict = {}
-    exec(source, namespace)  # noqa: S102 - our own source, test-only
-    return namespace

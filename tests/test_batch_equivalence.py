@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine import available_methods, create_method
+from repro.exceptions import ParameterError
 from repro.method import select_top_k
 
 #: Constructor overrides keeping the slow stochastic methods tractable on
@@ -193,20 +194,19 @@ class TestSeedNormalization:
 
     def test_out_of_range_batch_rejected(self, method, small_community):
         n = small_community.num_nodes
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             method.query_many([0, n])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             method.query_many([-1, 0])
 
     def test_two_dimensional_batch_rejected(self, method):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             method.query_many(np.array([[1, 2], [3, 4]]))
 
     def test_cpi_many_rejects_float_seeds(self, small_community):
         """The low-level batched CPI enforces the same dtype rules — no
         silent float truncation through the public cpi_many export."""
         from repro.core.cpi import cpi_many
-        from repro.exceptions import ParameterError
 
         with pytest.raises(ParameterError, match="integer"):
             cpi_many(small_community, [1.9])

@@ -101,7 +101,7 @@ class TestQueryResults:
         assert engine.stats() == before
 
     def test_out_of_range_seed_rejected(self, engine, small_community):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             engine.query(small_community.num_nodes)
 
 

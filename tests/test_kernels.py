@@ -1,11 +1,9 @@
-"""The compiled sparse-kernel layer: backends, equivalence, and policy.
+"""The sparse-kernel layer: equivalence, stripes, and policy.
 
-The kernel layer's contract has three legs, each asserted here:
+The kernel layer's contract has two legs, each asserted here:
 
-* the NumPy fallback is *bitwise identical* to the pre-kernel
+* the kernels are *bitwise identical* to the pre-kernel
   ``operator @ x`` code path (property-tested on random CSR matrices);
-* the Numba backend, when installed, agrees with the fallback to
-  ``<= 1e-12`` and is exercised through the same dispatchers;
 * global numeric policy (backend + compute dtype) is visible to caches
   via ``cache_token`` and never leaks between tests (fixtures restore).
 
@@ -28,7 +26,7 @@ from repro.core.tpa import TPA
 from repro.engine import Engine, create_method
 from repro.exceptions import ParameterError
 from repro.graph.generators import community_graph
-from repro.kernels import Workspace, backend, locality_reordering
+from repro.kernels import Workspace, locality_reordering
 
 _SETTINGS = settings(
     max_examples=25,
@@ -39,11 +37,9 @@ _SETTINGS = settings(
 
 @pytest.fixture(autouse=True)
 def _restore_kernel_policy():
-    """Backend and compute dtype are process-global; never leak them."""
-    backend_before = kernels.get_backend()
+    """The compute dtype is process-global; never leak it."""
     dtype_before = kernels.compute_dtype()
     yield
-    kernels.set_backend(backend_before)
     kernels.set_compute_dtype(dtype_before)
 
 
@@ -56,7 +52,7 @@ def _random_csr(rng: np.random.Generator, rows: int, cols: int, density: float):
 
 
 class TestNumpyFallbackBitwise:
-    """The fallback must reproduce ``A @ x`` bit for bit — it IS the old
+    """The kernels must reproduce ``A @ x`` bit for bit — they ARE the old
     code path, reached through the new dispatcher."""
 
     @_SETTINGS
@@ -68,7 +64,6 @@ class TestNumpyFallbackBitwise:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_spmv_and_spmm_match_scipy(self, rows, cols, density, batch, seed):
-        kernels.set_backend("numpy")
         rng = np.random.default_rng(seed)
         matrix = _random_csr(rng, rows, cols, density)
         x = rng.standard_normal(cols)
@@ -79,7 +74,6 @@ class TestNumpyFallbackBitwise:
     @_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1))
     def test_out_buffer_does_not_change_results(self, seed):
-        kernels.set_backend("numpy")
         rng = np.random.default_rng(seed)
         matrix = _random_csr(rng, 60, 60, 0.1)
         x = rng.standard_normal(60)
@@ -94,7 +88,6 @@ class TestNumpyFallbackBitwise:
         )
 
     def test_graph_propagate_is_bitwise_unchanged(self, small_community, rng):
-        kernels.set_backend("numpy")
         x = rng.random(small_community.num_nodes)
         np.testing.assert_array_equal(
             small_community.propagate(x),
@@ -119,202 +112,15 @@ class TestNumpyFallbackBitwise:
             kernels.spmm(matrix, rng.random((20, 4)), out=np.empty((4, 20)).T)
 
 
-# The interpreted-twin fixture ``numba_source_namespace`` lives in
-# conftest.py now — the top-k suite uses it too.
-
-
-class TestCompiledKernelLogic:
-    """Interpreted execution of the numba kernels against the references."""
-
-    def test_spmv_spmm_match_scipy_in_both_dtypes(
-        self, numba_source_namespace
-    ):
-        rng = np.random.default_rng(3)
-        for dtype in (np.float64, np.float32):
-            matrix = _random_csr(rng, 50, 50, 0.3).astype(dtype)
-            x = rng.random(50).astype(dtype)
-            big = np.ascontiguousarray(rng.random((50, 6)).astype(dtype))
-            out_v = np.empty(50, dtype)
-            out_m = np.empty((50, 6), dtype)
-            numba_source_namespace["_spmv"](
-                matrix.indptr, matrix.indices, matrix.data, x, out_v
-            )
-            numba_source_namespace["_spmm"](
-                matrix.indptr, matrix.indices, matrix.data, big, out_m
-            )
-            # Bitwise: the loops accumulate in the same order and dtype
-            # as scipy's csr kernels (stronger than the 1e-12 contract).
-            np.testing.assert_array_equal(out_v, matrix @ x)
-            np.testing.assert_array_equal(out_m, matrix @ big)
-
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_push_loops_match_reference(
-        self, numba_source_namespace, small_community, seed
-    ):
-        from repro.baselines.backward_push import backward_push
-        from repro.baselines.forward_push import forward_push
-
-        graph = small_community
-        ref = forward_push(graph, seed, rmax=1e-4)
-        indptr = graph.adjacency.indptr
-        indices = graph.adjacency.indices
-        degree = (indptr[1:] - indptr[:-1]).astype(np.int64)
-        threshold = 1e-4 * np.maximum(degree, 1).astype(np.float64)
-        estimate = np.zeros(graph.num_nodes)
-        residual = np.zeros(graph.num_nodes)
-        residual[seed] = 1.0
-        pushes = numba_source_namespace["_forward_push"](
-            indptr, indices, threshold, 0.15, seed, 50_000_000,
-            estimate, residual,
-        )
-        assert pushes == ref.pushes
-        np.testing.assert_array_equal(estimate, ref.estimate)
-        np.testing.assert_array_equal(residual, ref.residual)
-
-        back_ref = backward_push(graph, seed, rmax=1e-4)
-        operator = graph.transition_transpose
-        estimate = np.zeros(graph.num_nodes)
-        residual = np.zeros(graph.num_nodes)
-        residual[seed] = 1.0
-        pushes = numba_source_namespace["_backward_push"](
-            operator.indptr, operator.indices, operator.data, 1e-4, 0.15,
-            seed, 50_000_000, estimate, residual,
-        )
-        assert pushes == back_ref.pushes
-        np.testing.assert_array_equal(estimate, back_ref.estimate)
-        np.testing.assert_array_equal(residual, back_ref.residual)
-
-    def test_push_loop_single_node_self_loop(self, numba_source_namespace):
-        """n=1 ring-buffer edge case: the write cursor must wrap to 0."""
-        from repro.graph.graph import Graph
-
-        graph = Graph(1, [0], [0], keep_self_loops=True)
-        from repro.baselines.forward_push import forward_push
-
-        ref = forward_push(graph, 0, rmax=1e-4)
-        indptr = graph.adjacency.indptr
-        estimate = np.zeros(1)
-        residual = np.ones(1)
-        pushes = numba_source_namespace["_forward_push"](
-            indptr, graph.adjacency.indices, np.array([1e-4]), 0.15, 0,
-            50_000_000, estimate, residual,
-        )
-        assert pushes == ref.pushes
-        np.testing.assert_array_equal(estimate, ref.estimate)
-
-    def test_max_pushes_overrun_returns_sentinel(
-        self, numba_source_namespace, small_community
-    ):
-        graph = small_community
-        indptr = graph.adjacency.indptr
-        indices = graph.adjacency.indices
-        degree = (indptr[1:] - indptr[:-1]).astype(np.int64)
-        threshold = 1e-9 * np.maximum(degree, 1).astype(np.float64)
-        estimate = np.zeros(graph.num_nodes)
-        residual = np.zeros(graph.num_nodes)
-        residual[0] = 1.0
-        assert numba_source_namespace["_forward_push"](
-            indptr, indices, threshold, 0.15, 0, 10, estimate, residual
-        ) == -1
-
-
-@pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-class TestNumbaBackend:
-    """Compiled kernels agree with the fallback to <= 1e-12."""
-
-    @_SETTINGS
-    @given(
-        rows=st.integers(1, 60),
-        cols=st.integers(1, 60),
-        density=st.floats(0.0, 0.5),
-        batch=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_agrees_with_numpy_fallback(self, rows, cols, density, batch, seed):
-        rng = np.random.default_rng(seed)
-        matrix = _random_csr(rng, rows, cols, density)
-        x = rng.standard_normal(cols)
-        big = rng.standard_normal((cols, batch))
-        kernels.set_backend("numpy")
-        ref_v, ref_m = kernels.spmv(matrix, x), kernels.spmm(matrix, big)
-        kernels.set_backend("numba")
-        np.testing.assert_allclose(
-            kernels.spmv(matrix, x), ref_v, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            kernels.spmm(matrix, big), ref_m, rtol=0, atol=1e-12
-        )
-
-    def test_push_loops_match_reference(self, small_community):
-        from repro.baselines.backward_push import backward_push
-        from repro.baselines.forward_push import forward_push
-
-        kernels.set_backend("numpy")
-        fwd_ref = forward_push(small_community, 3, rmax=1e-4)
-        bwd_ref = backward_push(small_community, 5, rmax=1e-4)
-        kernels.set_backend("numba")
-        fwd = forward_push(small_community, 3, rmax=1e-4)
-        bwd = backward_push(small_community, 5, rmax=1e-4)
-        assert fwd.pushes == fwd_ref.pushes
-        assert bwd.pushes == bwd_ref.pushes
-        np.testing.assert_array_equal(fwd.estimate, fwd_ref.estimate)
-        np.testing.assert_array_equal(fwd.residual, fwd_ref.residual)
-        np.testing.assert_array_equal(bwd.estimate, bwd_ref.estimate)
-        np.testing.assert_array_equal(bwd.residual, bwd_ref.residual)
-
-    def test_query_results_close_to_fallback(self, small_community):
-        kernels.set_backend("numpy")
-        method = TPA(s_iteration=4, t_iteration=8)
-        method.preprocess(small_community)
-        reference = method.query_many(np.array([0, 7, 33]))
-        kernels.set_backend("numba")
-        method2 = TPA(s_iteration=4, t_iteration=8)
-        method2.preprocess(small_community)
-        np.testing.assert_allclose(
-            method2.query_many(np.array([0, 7, 33])), reference,
-            rtol=0, atol=1e-12,
-        )
-
-
 class TestForcedFallback:
-    """Behavior when Numba is absent (simulated via the detection flag)."""
-
-    def test_set_backend_numba_raises_without_numba(self, monkeypatch):
-        monkeypatch.setattr(backend, "_NUMBA_INSTALLED", False)
-        with pytest.raises(ParameterError, match="not installed"):
-            kernels.set_backend("numba")
-
-    def test_auto_selection_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(backend, "_NUMBA_INSTALLED", False)
-        kernels.set_backend("auto")
-        assert kernels.get_backend() == "numpy"
-        assert kernels.available_backends() == ("numpy",)
-        assert not kernels.numba_available()
-
-    def test_env_request_for_numba_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setattr(backend, "_NUMBA_INSTALLED", False)
-        monkeypatch.setenv("REPRO_KERNEL", "numba")
-        with pytest.warns(UserWarning, match="NumPy fallback"):
-            assert backend._resolve_env_backend() == "numpy"
-
-    def test_push_loops_unavailable_on_numpy_backend(self):
-        kernels.set_backend("numpy")
-        assert kernels.forward_push_loop() is None
-        assert kernels.backward_push_loop() is None
+    """Batched queries on the kernel layer equal stacked single queries."""
 
     def test_queries_still_exact_on_fallback(self, small_community):
-        kernels.set_backend("numpy")
         method = CPIMethod()
         method.preprocess(small_community)
         batched = method.query_many(np.array([1, 2, 3]))
         stacked = np.stack([method.query(s) for s in (1, 2, 3)])
         np.testing.assert_array_equal(batched, stacked)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError, match="unknown kernel backend"):
-            kernels.set_backend("cuda")
 
 
 class TestComputeDtypePolicy:
@@ -457,7 +263,7 @@ class TestEngineCacheToken:
         assert stats["cache_misses"] == 1
         # A different token (any backend rename) must miss.
         monkeypatch.setattr(
-            kernels.backend, "_active_backend", "other-backend"
+            kernels.backend, "get_backend", lambda: "other-backend"
         )
         engine.query(1)
         assert engine.stats()["cache_misses"] == 2
@@ -562,7 +368,6 @@ class TestStripePool:
 
         handler = signal.signal(signal.SIGALRM, expired)
         signal.alarm(120)
-        kernels.set_backend("numpy")
         threads = kernels.set_num_threads(2)
         try:
             yield _numpy_backend

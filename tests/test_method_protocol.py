@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import BRPPR, BearApprox, BePI, Fora, HubPPR, NBLin
 from repro.core.tpa import TPA
-from repro.exceptions import NotPreprocessedError
+from repro.exceptions import NotPreprocessedError, ParameterError
 
 
 def _fresh_methods():
@@ -62,7 +62,7 @@ class TestQueryContract:
 
     def test_seed_out_of_range(self, prepared_methods, small_community):
         for method in prepared_methods:
-            with pytest.raises(ValueError):
+            with pytest.raises(ParameterError):
                 method.query(small_community.num_nodes)
 
     def test_preprocessed_bytes_non_negative(self, prepared_methods):

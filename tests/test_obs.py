@@ -25,7 +25,6 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.tpa import TPA
 from repro.dynamic import DynamicGraph
 from repro.engine import Engine, QueryRequest
@@ -51,15 +50,6 @@ def clean_obs_state():
     obs_trace.clear_spans()
     obs_trace.set_tracing(None)
     obs_trace.set_trace_sample(None)
-
-
-@pytest.fixture
-def fork_numpy():
-    """NumPy backend so shard workers fork (fast startup)."""
-    previous = kernels.get_backend()
-    kernels.set_backend("numpy")
-    yield "numpy"
-    kernels.set_backend(previous)
 
 
 @pytest.fixture(autouse=True)
@@ -400,7 +390,7 @@ class TestServingIntegration:
         assert phases["dispatch"]["mean_ms"] >= phases["select"]["mean_ms"]
 
     def test_server_and_router_stats_same_shape(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         with small_server(small_community, cache_size=16) as server:
             server.query(0, k=5)
@@ -417,7 +407,7 @@ class TestServingIntegration:
         assert server_stats["cache"] is not None
 
     def test_router_stats_and_registry_carry_shard_counters(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         with Router(
             TPA(s_iteration=4, t_iteration=8), small_community,
@@ -466,7 +456,7 @@ class TestServingIntegration:
         assert float(np.median(gaps)) < 50.0
 
     def test_results_bitwise_with_instrumentation_active(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         requests = [
             QueryRequest(seed=s % 40, k=8) if s % 3 else QueryRequest(seed=s)
@@ -497,7 +487,7 @@ class TestServingIntegration:
 
 class TestCrossProcessTracing:
     def test_connected_span_tree_over_four_shards(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         obs_trace.set_tracing(True)
         with Router(
@@ -537,7 +527,7 @@ class TestCrossProcessTracing:
         assert any(s["tags"]["pid"] != os.getpid() for s in worker_spans)
 
     def test_trace_survives_injected_respawn(
-        self, small_community, fork_numpy, monkeypatch
+        self, small_community, monkeypatch
     ):
         # Visit 1 is the construction-time warm probe; the kill lands on
         # the first traced sweep, whose bounded retry must show up as an
@@ -586,7 +576,7 @@ class TestCrossProcessTracing:
         assert all(s["tags"]["clock"] == "rebased" for s in workers)
 
     def test_trace_consistent_across_republish(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         obs_trace.set_tracing(True)
         dynamic = DynamicGraph(small_community)
@@ -614,7 +604,7 @@ class TestCrossProcessTracing:
         assert families["repro_republishes_total"].value >= 1
 
     def test_concurrent_submissions_no_span_bleed(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         obs_trace.set_tracing(True)
         with Router(

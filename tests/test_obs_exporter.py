@@ -28,7 +28,6 @@ import urllib.request
 
 import pytest
 
-from repro import kernels
 from repro.engine import Engine, QueryRequest
 from repro.core.tpa import TPA
 from repro.obs import exporter as obs_exporter
@@ -79,15 +78,6 @@ def clean_fault_state(monkeypatch):
     yield
     faults.reset_fault_plan()
     faults.set_scope("main", 0)
-
-
-@pytest.fixture
-def fork_numpy():
-    """NumPy backend so shard workers fork (fast startup)."""
-    previous = kernels.get_backend()
-    kernels.set_backend("numpy")
-    yield "numpy"
-    kernels.set_backend(previous)
 
 
 def get(url: str, timeout: float = 10.0):
@@ -247,7 +237,7 @@ class TestDeploymentExporters:
             assert detail["workers_alive"] == 2
 
     def test_env_port_shares_one_listener_across_deployments(
-        self, small_community, monkeypatch, fork_numpy
+        self, small_community, monkeypatch
     ):
         monkeypatch.setenv(obs_exporter.OBS_PORT_ENV_VAR, "0")
         method = TPA(s_iteration=3, t_iteration=6)
@@ -271,7 +261,7 @@ class TestDeploymentExporters:
         assert exporter_threads()
 
     def test_router_serves_all_endpoints_under_load(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         with Router(TPA(s_iteration=3, t_iteration=6), small_community,
                     num_shards=4, reorder=None, supervise=False,
@@ -303,7 +293,7 @@ class TestDeploymentExporters:
         assert_port_released(port)
 
     def test_worker_counters_fold_into_router_registry(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         # Batches wide enough that the online phase leaves the sparse
         # gather fast path and actually sweeps through the workers.
@@ -321,7 +311,7 @@ class TestDeploymentExporters:
         assert "repro_worker_step_seconds_total" in families
 
     def test_health_503_while_worker_down_then_recovers(
-        self, small_community, fork_numpy
+        self, small_community
     ):
         with Router(TPA(s_iteration=6, t_iteration=12), small_community,
                     num_shards=2, reorder=None, supervise=False,
@@ -346,7 +336,7 @@ class TestDeploymentExporters:
             assert router.engine.shards.shard_stats()["respawns"] == 1
 
     def test_scrape_hammer_during_fault_injected_bench(
-        self, small_community, fork_numpy, monkeypatch
+        self, small_community, monkeypatch
     ):
         """Eight scrape threads against a router whose shard worker is
         killed mid-sweep: every response parses strictly, counters never
@@ -479,7 +469,7 @@ class TestProfiler:
         assert "junk" not in samples and "bad" not in samples
 
     def test_profiled_shard_run_spans_multiple_pids(
-        self, small_community, fork_numpy, monkeypatch
+        self, small_community, monkeypatch
     ):
         monkeypatch.setenv(obs_profile.PROFILE_ENV_VAR, "1")
         monkeypatch.setenv(obs_profile.PROFILE_HZ_ENV_VAR, "500")

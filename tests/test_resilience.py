@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import community_graph, create_method, kernels
+from repro import community_graph, create_method
 from repro.dynamic import DynamicGraph
 from repro.engine import Engine, QueryRequest
 from repro.exceptions import (
@@ -55,16 +55,6 @@ def clean_fault_state():
     yield
     faults.reset_fault_plan()
     faults.set_scope("main", 0)
-
-
-@pytest.fixture
-def fork_numpy():
-    """Force the NumPy backend so shard workers fork (fast startup) —
-    the chaos scenarios exercise the protocol, not the kernels."""
-    previous = kernels.get_backend()
-    kernels.set_backend("numpy")
-    yield "numpy"
-    kernels.set_backend(previous)
 
 
 @pytest.fixture(scope="module")
@@ -535,7 +525,7 @@ class TestShardChaos:
         "point", ["kill_before_sweep", "kill_mid_sweep"]
     )
     def test_kill_during_sweep_recovers_bitwise(
-        self, chaos_graph, fork_numpy, monkeypatch, point
+        self, chaos_graph, monkeypatch, point
     ):
         # Visit 1 is the construction-time warm probe; the kill lands on
         # the first real sweep.  gen=0 keeps the respawned worker (whose
@@ -558,7 +548,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_kill_after_sweep_detected_on_next(
-        self, chaos_graph, fork_numpy, monkeypatch
+        self, chaos_graph, monkeypatch
     ):
         inject(monkeypatch, "kill_after_sweep@2:scope=shard0,gen=0")
         x = _panel(chaos_graph)
@@ -576,7 +566,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_slow_reply_within_timeout_tolerated(
-        self, chaos_graph, fork_numpy, monkeypatch
+        self, chaos_graph, monkeypatch
     ):
         inject(monkeypatch, "delay_reply@2:ms=40,scope=shard1")
         x = _panel(chaos_graph)
@@ -591,7 +581,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_hung_worker_times_out_and_respawns(
-        self, chaos_graph, fork_numpy, monkeypatch
+        self, chaos_graph, monkeypatch
     ):
         inject(monkeypatch, "delay_reply@2:ms=30000,scope=shard1,gen=0")
         x = _panel(chaos_graph)
@@ -608,7 +598,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_poisoned_batch_retries_without_respawn(
-        self, chaos_graph, fork_numpy, monkeypatch
+        self, chaos_graph, monkeypatch
     ):
         inject(monkeypatch, "poison_batch@2:scope=shard0")
         x = _panel(chaos_graph)
@@ -627,7 +617,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_persistent_poison_raises_typed_after_bounded_retries(
-        self, chaos_graph, fork_numpy, monkeypatch
+        self, chaos_graph, monkeypatch
     ):
         inject(monkeypatch, "poison_batch@2+:scope=shard0")
         operator = _operator(chaos_graph)
@@ -641,7 +631,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_supervisor_respawns_idle_death(
-        self, chaos_graph, fork_numpy
+        self, chaos_graph
     ):
         x = _panel(chaos_graph)
         expected = chaos_graph.propagate(x)
@@ -662,7 +652,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_hang_on_stop_escalates_to_kill(
-        self, chaos_graph, fork_numpy, monkeypatch
+        self, chaos_graph, monkeypatch
     ):
         inject(monkeypatch, "hang_on_stop:scope=shard0,seconds=30")
         operator = _operator(chaos_graph)
@@ -677,7 +667,7 @@ class TestShardChaos:
         assert_store_released(names)
 
     def test_dropped_remap_ack_respawns_onto_new_store(
-        self, chaos_graph, fork_numpy, monkeypatch
+        self, chaos_graph, monkeypatch
     ):
         inject(monkeypatch, "drop_remap_ack@1:scope=shard1,gen=0")
         dynamic = DynamicGraph(chaos_graph)

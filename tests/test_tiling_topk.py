@@ -5,8 +5,7 @@ Contracts asserted here:
 * ``rows_from_panel`` equals the contiguous transpose and hands a fused
   epilogue every row exactly once;
 * ``select_top_k_many`` matches the looped ``select_top_k`` reference
-  including ban masks and tie ordering, on both the numpy fallback and
-  the (interpreted / compiled) bounded-heap kernel;
+  including ban masks and tie ordering;
 * the Engine's streamed top-k paths (``batch`` column blocks, chunked
   ``serve``) return exactly what the materialized paths return, also
   under a SlashBurn reordering.
@@ -58,48 +57,6 @@ class TestRowsFromPanel:
         np.testing.assert_array_equal(rows, (panel + shift[:, None]).T)
         assert seen[0][0] == 0 and seen[-1][1] == 5_000
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
-
-
-class TestInterpretedCompiledKernels:
-    """The numba kernels, exec'd as plain Python (see conftest)."""
-
-    @_SETTINGS
-    @given(
-        n=st.integers(1, 150),
-        k=st.integers(1, 170),
-        pool=st.integers(1, 8),
-        ban_fraction=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_heap_selection_matches_looped_reference(
-        self, numba_source_namespace, n, k, pool, ban_fraction, seed
-    ):
-        """Bans and ties: integer-valued scores force heavy tie traffic,
-        and the ban mask must never leak a banned id into a row."""
-        rng = np.random.default_rng(seed)
-        scores = rng.integers(0, pool, size=(3, n)).astype(np.float64)
-        banned = rng.random((3, n)) < ban_fraction
-        out = np.empty((3, k), dtype=np.int64)
-        numba_source_namespace["_select_top_k_many"](
-            scores, banned, True, k, out
-        )
-        for row in range(3):
-            picks = select_top_k(scores[row], k, banned[row])
-            np.testing.assert_array_equal(out[row, : picks.size], picks)
-            assert (out[row, picks.size:] == -1).all()
-
-    def test_heap_selection_without_bans(self, numba_source_namespace):
-        rng = np.random.default_rng(5)
-        scores = rng.random((4, 64))
-        scores[:, 10:20] = scores[:, [10]]  # tie plateau
-        out = np.empty((4, 12), dtype=np.int64)
-        numba_source_namespace["_select_top_k_many"](
-            scores, np.empty((0, 0), dtype=np.bool_), False, 12, out
-        )
-        for row in range(4):
-            np.testing.assert_array_equal(
-                out[row], select_top_k(scores[row], 12)
-            )
 
 
 class TestSelectTopKMany:
@@ -160,27 +117,6 @@ class TestSelectTopKMany:
             select_top_k(scores, 17, banned, scratch=scratch),
             select_top_k(scores, 17, banned),
         )
-
-
-@pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-class TestCompiledBackendAgreement:
-    """The compiled kernels through the public dispatchers."""
-
-    def test_select_top_k_many_matches_looped(self):
-        rng = np.random.default_rng(1)
-        scores = rng.integers(0, 9, size=(16, 300)).astype(np.float64)
-        banned = rng.random((16, 300)) < 0.25
-        previous = kernels.set_backend("numba")
-        try:
-            result = select_top_k_many(scores, 40, banned=banned)
-        finally:
-            kernels.set_backend(previous)
-        for row in range(16):
-            picks = select_top_k(scores[row], 40, banned[row])
-            np.testing.assert_array_equal(result[row, : picks.size], picks)
-            assert (result[row, picks.size:] == -1).all()
 
 
 class TestBannedMasks:

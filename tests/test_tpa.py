@@ -77,9 +77,9 @@ class TestOnlinePhase:
         assert (prepared_tpa.query(5) >= 0).all()
 
     def test_seed_validation(self, prepared_tpa, medium_community):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             prepared_tpa.query(medium_community.num_nodes)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             prepared_tpa.query(-1)
 
     def test_family_matches_windowed_cpi(self, prepared_tpa, medium_community):

@@ -351,20 +351,16 @@ class TestServingWithTune:
 
 class TestKernelThreadKnob:
     def test_profile_apply_round_trips_on_numpy(self):
-        previous = kernels.set_backend("numpy")
-        try:
-            for count in (1, 3):
-                profile = derive_profile(
-                    _fingerprint(),
-                    _measurements(spmm_thread_seconds={str(count): 1.0}),
-                    1.0,
-                )
-                assert profile.apply()["kernel_threads"] == count
-                assert kernels.num_threads() == count
-            kernels.set_num_threads(None)
-            assert kernels.num_threads() == len(os.sched_getaffinity(0))
-        finally:
-            kernels.set_backend(previous)
+        for count in (1, 3):
+            profile = derive_profile(
+                _fingerprint(),
+                _measurements(spmm_thread_seconds={str(count): 1.0}),
+                1.0,
+            )
+            assert profile.apply()["kernel_threads"] == count
+            assert kernels.num_threads() == count
+        kernels.set_num_threads(None)
+        assert kernels.num_threads() == len(os.sched_getaffinity(0))
 
     def test_set_and_reset(self):
         previous = kernels.set_num_threads(1)
@@ -416,23 +412,21 @@ def _hub_matrix(rows: int, cols: int, rng) -> sp.csr_array:
     return sp.csr_array(dense)
 
 
-@pytest.mark.parametrize("backend_name", kernels.available_backends())
+@pytest.mark.parametrize("backend_name", [kernels.get_backend()])
 class TestThreadCountBitwiseInvariance:
-    """Results are bitwise identical at every thread count, on every
-    backend installed — the invariant that keeps the count out of
-    ``cache_token``.  The NumPy backend's work floor is lifted so the
-    small fixtures actually split into stripes."""
+    """Results are bitwise identical at every thread count — the
+    invariant that keeps the count out of ``cache_token``.  The work
+    floor is lifted so the small fixtures actually split into stripes;
+    ``backend_name`` only stamps the backend into the test ids."""
 
     @pytest.fixture(autouse=True)
     def _backend(self, backend_name, monkeypatch):
         from repro.kernels import _numpy_backend
 
         monkeypatch.setattr(_numpy_backend, "WORK_FLOOR", 0)
-        previous = kernels.set_backend(backend_name)
         dtype = kernels.compute_dtype()
         yield
         kernels.set_compute_dtype(dtype)
-        kernels.set_backend(previous)
 
     @staticmethod
     def _at_each_count(compute):

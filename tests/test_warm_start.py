@@ -25,14 +25,8 @@ from repro import (
 )
 from repro.dynamic import DynamicGraph
 
-BACKENDS = kernels.available_backends()
-
-
-@pytest.fixture
-def backend_restore():
-    previous = kernels.get_backend()
-    yield
-    kernels.set_backend(previous)
+#: The kernel backend's name, stamped into the test ids.
+BACKENDS = (kernels.get_backend(),)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +41,7 @@ WARM_BOUND = 2 * TOL / C
 
 class TestCPIWarmStart:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_guess_is_bitwise_cold(self, graph, backend, backend_restore):
-        kernels.set_backend(backend)
+    def test_zero_guess_is_bitwise_cold(self, graph, backend):
         cold = cpi(graph, seeds=3, c=C, tol=TOL)
         warm = cpi(
             graph, seeds=3, c=C, tol=TOL,
@@ -59,9 +52,8 @@ class TestCPIWarmStart:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_converged_guess_restarts_instantly(
-        self, graph, backend, backend_restore
+        self, graph, backend
     ):
-        kernels.set_backend(backend)
         cold = cpi(graph, seeds=3, c=C, tol=TOL)
         warm = cpi(graph, seeds=3, c=C, tol=TOL, x0=cold.scores)
         assert warm.iterations < cold.iterations
@@ -93,8 +85,7 @@ class TestCPIWarmStart:
 
 class TestCPIManyWarmStart:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_panel_is_bitwise_cold(self, graph, backend, backend_restore):
-        kernels.set_backend(backend)
+    def test_zero_panel_is_bitwise_cold(self, graph, backend):
         seeds = [0, 5, 9]
         cold = cpi_many(graph, seeds, c=C, tol=TOL)
         warm = cpi_many(
@@ -105,8 +96,7 @@ class TestCPIManyWarmStart:
         assert np.array_equal(cold.scores, warm.scores)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_converged_panel_within_band(self, graph, backend, backend_restore):
-        kernels.set_backend(backend)
+    def test_converged_panel_within_band(self, graph, backend):
         seeds = [0, 5, 9]
         cold = cpi_many(graph, seeds, c=C, tol=TOL)
         warm = cpi_many(graph, seeds, c=C, tol=TOL, x0=cold.scores.T.copy())
