@@ -1,4 +1,21 @@
-"""Setup shim for environments without PEP 517 wheel support."""
-from setuptools import setup
+"""Setup shim for environments without PEP 517 wheel support.
 
-setup()
+The version is read from ``src/repro/__init__.py`` as text, so running
+this file never imports the package (or NumPy/SciPy).
+"""
+import re
+from pathlib import Path
+
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(encoding="utf-8"), re.M
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

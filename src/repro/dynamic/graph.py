@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from repro import kernels
 from repro.dynamic.overlay import DeltaOverlay
 from repro.exceptions import DanglingNodeError, GraphFormatError, ParameterError
-from repro.graph.graph import DanglingPolicy, Graph
+from repro.graph.graph import DanglingPolicy, Graph, integer_endpoints
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["DynamicGraph"]
@@ -68,11 +68,12 @@ _HISTORY_LIMIT = 32
 def _edge_pairs(edges) -> np.ndarray:
     """Normalize an edge argument to an ``(k, 2)`` int64 array.
 
-    Accepts an iterable of ``(src, dst)`` pairs or an ``(k, 2)`` array.
+    Accepts an iterable of ``(src, dst)`` pairs or an ``(k, 2)`` array
+    of integers; float or bool endpoints raise :class:`GraphFormatError`.
     """
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = integer_endpoints(np.asarray(edges))
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim == 1 and arr.size == 2:

@@ -23,6 +23,13 @@ has one entry per (old ∪ new) neighbor of each touched source:
   float rounding is the source of the documented ``1e-12`` overlay
   accuracy tier — see :data:`repro.dynamic.OVERLAY_TOLERANCE`).
 
+Each touched source's share of ``Δ`` (its destination rows, its column
+and the ``1/d_new - 1/d_old`` values) is derived once and cached; a
+mutation drops only the piece of the source it changed.  A compile
+therefore costs one derivation per source changed since the last
+compile plus one concatenation of the cached pieces in sorted-source
+order, not one derivation per source touched since the last compaction.
+
 The compiled delta is an ordinary CSR in the ``Ã^T`` layout (rows are
 destinations), so :class:`~repro.dynamic.DynamicGraph` evaluates the
 fold with the same :func:`repro.kernels.spmv` / :func:`~repro.kernels.spmm`
@@ -79,9 +86,14 @@ class DeltaOverlay:
         # Monotone count of applied mutations; the epoch-token component
         # that keeps caches honest while deltas are pending.
         self._events = int(events)
+        # Touched source -> its cached delta piece (rows, cols, vals), or
+        # None when every correction is an exact zero.  A mutation drops
+        # only its own source's piece.
+        self._pieces: dict[int, tuple[np.ndarray, ...] | None] = {}
         # Compiled delta operators: the float64 un-decayed master plus
         # scaled/cast variants keyed (decay, dtype name), exactly like
-        # Graph._operator_cache.  Invalidated by every mutation.
+        # Graph._operator_cache.  Invalidated by every mutation and
+        # recompiled from the cached pieces.
         self._delta_master: sp.csr_array | None = None
         self._delta_cache: dict[tuple[float | None, str], sp.csr_array] = {}
         self._dirty_rows: np.ndarray | None = None
@@ -164,7 +176,7 @@ class DeltaOverlay:
         elif target in current:
             return False
         current.add(target)
-        self._invalidate()
+        self._invalidate(source)
         return True
 
     def remove(self, source: int, target: int) -> bool:
@@ -180,11 +192,12 @@ class DeltaOverlay:
         elif target not in current:
             return False
         current.discard(target)
-        self._invalidate()
+        self._invalidate(source)
         return True
 
-    def _invalidate(self) -> None:
+    def _invalidate(self, source: int) -> None:
         self._events += 1
+        self._pieces.pop(source, None)
         self._delta_master = None
         self._delta_cache.clear()
         self._dirty_rows = None
@@ -221,44 +234,53 @@ class DeltaOverlay:
             )
         return self._dirty_rows
 
+    def _delta_piece(self, source: int) -> tuple[np.ndarray, ...] | None:
+        """Derive ``source``'s column of the delta as ``(rows, cols,
+        vals)``, or None when every correction is an exact zero."""
+        current = self._neighbors[source]
+        base_nb = self._base.out_neighbors(source)
+        d_old = float(self._base.out_degree[source])
+        w_old = 1.0 / d_old if d_old > 0 else 0.0
+        w_new = 1.0 / len(current) if current else 0.0
+        targets = np.union1d(
+            np.asarray(base_nb, dtype=np.int64),
+            np.fromiter(current, dtype=np.int64, count=len(current)),
+        )
+        if not targets.size:
+            return None
+        in_new = np.isin(targets, np.fromiter(
+            current, dtype=np.int64, count=len(current)
+        )) if current else np.zeros(targets.size, dtype=bool)
+        in_old = np.isin(targets, np.asarray(base_nb, dtype=np.int64))
+        # new weight minus old weight, per surviving/inserted/deleted
+        # target — each factor the identical 1/d quotient the base
+        # normalization computes.
+        delta = np.where(in_new, w_new, 0.0) - np.where(in_old, w_old, 0.0)
+        keep = delta != 0.0
+        if not keep.any():
+            return None
+        return (
+            targets[keep],
+            np.full(int(keep.sum()), source, dtype=np.int64),
+            delta[keep],
+        )
+
     def delta_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The un-decayed float64 delta as ``(rows, cols, vals)`` COO
         triplets in the ``Ã^T`` layout (``rows`` are destinations,
-        ``cols`` are the touched sources).  Exact-zero corrections are
-        dropped."""
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        out_degree = self._base.out_degree
+        ``cols`` are the touched sources, ascending).  Exact-zero
+        corrections are dropped.  Only sources without a cached piece
+        are derived; the returned arrays are fresh concatenations."""
+        pieces = []
         for source in sorted(self._neighbors):
-            current = self._neighbors[source]
-            base_nb = self._base.out_neighbors(source)
-            d_old = float(out_degree[source])
-            w_old = 1.0 / d_old if d_old > 0 else 0.0
-            w_new = 1.0 / len(current) if current else 0.0
-            targets = np.union1d(
-                np.asarray(base_nb, dtype=np.int64),
-                np.fromiter(current, dtype=np.int64, count=len(current)),
-            )
-            if not targets.size:
-                continue
-            in_new = np.isin(targets, np.fromiter(
-                current, dtype=np.int64, count=len(current)
-            )) if current else np.zeros(targets.size, dtype=bool)
-            in_old = np.isin(targets, np.asarray(base_nb, dtype=np.int64))
-            # new weight minus old weight, per surviving/inserted/deleted
-            # target — each factor the identical 1/d quotient the base
-            # normalization computes.
-            delta = np.where(in_new, w_new, 0.0) - np.where(in_old, w_old, 0.0)
-            keep = delta != 0.0
-            if not keep.any():
-                continue
-            rows.append(targets[keep])
-            cols.append(np.full(int(keep.sum()), source, dtype=np.int64))
-            vals.append(delta[keep])
-        if not rows:
+            if source not in self._pieces:
+                self._pieces[source] = self._delta_piece(source)
+            if self._pieces[source] is not None:
+                pieces.append(self._pieces[source])
+        if not pieces:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, np.empty(0, dtype=np.float64)
+        rows, cols, vals = zip(*pieces)
         return (
             np.concatenate(rows),
             np.concatenate(cols),
@@ -271,10 +293,11 @@ class DeltaOverlay:
         """The compiled delta ``Δ`` (or ``decay · Δ``) as an ``(n, n)``
         CSR in the ``Ã^T`` layout, or ``None`` when no entries exist.
 
-        The float64 un-decayed master is compiled once per mutation
-        generation; every other ``(decay, dtype)`` variant is derived
-        from its value array through :func:`repro.kernels.scaled_values`
-        (index arrays shared), exactly as
+        The float64 un-decayed master is recompiled after a mutation
+        from :meth:`delta_coo`'s cached per-source pieces (only changed
+        sources are re-derived); every other ``(decay, dtype)`` variant
+        is derived from its value array through
+        :func:`repro.kernels.scaled_values` (index arrays shared), exactly as
         :meth:`repro.graph.Graph.decayed_operator` builds the base
         decayed operator.
         """

@@ -25,10 +25,23 @@ __all__ = ["Graph", "DanglingPolicy"]
 
 
 def _as_index_array(values: Iterable[int]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise GraphFormatError("edge endpoint arrays must be one-dimensional")
-    return arr
+    return integer_endpoints(arr)
+
+
+def integer_endpoints(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as int64, refusing non-integer endpoint dtypes.
+
+    Float and bool endpoints would otherwise be truncated silently
+    (``1.7 -> 1``).  An empty array is accepted whatever its dtype.
+    """
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphFormatError(
+            f"edge endpoints must be integers; got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 class Graph:

@@ -34,7 +34,7 @@ class MemoryBudget:
     --------
     >>> budget = MemoryBudget(1024)
     >>> budget.check("toy", 512)
-    >>> budget.check("toy", 4096)
+    >>> budget.check("toy", 4096)  # doctest: +ELLIPSIS
     Traceback (most recent call last):
         ...
     repro.exceptions.MemoryBudgetExceeded: toy requires 4096 bytes ...

@@ -21,6 +21,7 @@ import pytest
 
 from repro import Engine, Graph, community_graph, cpi, create_method, kernels
 from repro.dynamic import DeltaOverlay, DynamicGraph, OVERLAY_TOLERANCE
+from repro.dynamic.graph import _folded_product
 from repro.exceptions import (
     DanglingNodeError,
     GraphFormatError,
@@ -86,6 +87,25 @@ class TestOverlaySemantics:
             dyn.add_edges([(0, 300)])
         with pytest.raises(GraphFormatError):
             dyn.add_edges([(-1, 0)])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1.7, 3.9)],
+            np.array([[2.2, 4.8]]),
+            np.array([[True, False]]),
+        ],
+    )
+    def test_non_integer_endpoints_rejected(self, base, edges):
+        # Not truncated to 1->3 / 2->4: float and bool ids are refused,
+        # and nothing is applied.
+        dyn = DynamicGraph(base)
+        with pytest.raises(GraphFormatError, match="integers"):
+            dyn.add_edges(edges)
+        with pytest.raises(GraphFormatError, match="integers"):
+            dyn.remove_edges(edges)
+        assert not dyn.dirty
+        assert dyn.add_edges([]) == 0 and dyn.remove_edges([]) == 0
 
     def test_selfloop_policy_rejected(self):
         graph = Graph(3, [0, 1, 2], [1, 2, 0], dangling="selfloop")
@@ -363,3 +383,116 @@ class TestPermutedView:
         fresh_view = compacted.permute(perm)
         assert np.array_equal(view.propagate(x), fresh_view.propagate(x))
         assert view.epoch_token() == dyn.epoch_token()
+
+
+def _uniform_base() -> Graph:
+    src, dst = community_graph(
+        120, avg_degree=4, num_communities=4, seed=5
+    ).edges()
+    return Graph(120, src, dst, dangling="uniform")
+
+
+def _compiled_without_cache(dyn: DynamicGraph, decay, dtype):
+    """Compile the dynamic graph's current overlay state from an empty
+    per-source cache: every touched source is derived afresh."""
+    ref = DeltaOverlay(dyn.base_graph)
+    ref._neighbors = dyn._overlay._neighbors
+    return ref.delta_operator(decay, dtype)
+
+
+def _assert_same_delta(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestIncrementalDelta:
+    """The per-source delta cache: a compile re-derives only the sources
+    changed since the last compile, and the result is bitwise the same
+    as deriving every touched source."""
+
+    def test_interleaving_matches_an_uncached_compile(self):
+        rng = np.random.default_rng(2024)
+        dyn = DynamicGraph(_uniform_base())
+        n = dyn.num_nodes
+        hot = rng.choice(n, size=12, replace=False)  # sources reused often
+        x = rng.random((n, 3))
+        steps = {"add": 0, "remove": 0, "restore": 0, "dangle": 0,
+                 "compact": 0}
+        for step in range(240):
+            kind = rng.choice(
+                ["add", "add", "remove", "remove", "restore", "dangle",
+                 "compact"],
+                p=[0.2, 0.15, 0.2, 0.15, 0.12, 0.08, 0.1],
+            )
+            source = int(rng.choice(hot))
+            if kind == "add":
+                applied = dyn.add_edges([(source, int(rng.integers(n)))])
+            elif kind == "remove":
+                current = dyn.out_neighbors(source)
+                applied = current.size and dyn.remove_edges(
+                    [(source, int(rng.choice(current)))]
+                )
+            elif kind == "restore":
+                # Put a source back to its base row: it stays touched,
+                # with an all-zero delta column.
+                want = set(dyn.base_graph.out_neighbors(source).tolist())
+                have = set(dyn.out_neighbors(source).tolist())
+                dyn.remove_edges([(source, t) for t in sorted(have - want)])
+                applied = dyn.add_edges(
+                    [(source, t) for t in sorted(want - have)]
+                )
+            elif kind == "dangle":
+                # Empty the row: the source dangles under "uniform".
+                applied = dyn.remove_edges(
+                    [(source, int(t)) for t in dyn.out_neighbors(source)]
+                )
+                assert source in dyn.dangling_nodes.tolist()
+            else:
+                applied = dyn.compact().size
+            steps[str(kind)] += bool(applied)
+            for decay, dtype in ((None, np.float64), (0.85, np.float32)):
+                got = dyn._overlay.delta_operator(decay, dtype)
+                want = _compiled_without_cache(dyn, decay, dtype)
+                _assert_same_delta(got, want)
+            if step % 20 == 0 and dyn.dirty:
+                want_y = _folded_product(
+                    dyn.base_graph,
+                    _compiled_without_cache(dyn, None, np.float64),
+                    dyn.dangling_nodes, "uniform", x, None, None,
+                )
+                assert np.array_equal(dyn.propagate(x), want_y)
+        # Every kind of step really happened.
+        assert all(count > 0 for count in steps.values()), steps
+
+    def test_one_mutation_rederives_one_source(self, base, monkeypatch):
+        dyn = DynamicGraph(base)
+        pairs = _edge_set(base)
+        sources = [5, 17, 44, 120, 200]
+        for source in sources:
+            target = next(t for t in range(300)
+                          if t != source and (source, t) not in pairs)
+            dyn.add_edges([(source, target)])
+        x = np.ones(300)
+        dyn.propagate(x)  # compile every touched source once
+
+        derived: list[int] = []
+        original = DeltaOverlay._delta_piece
+
+        def counting(self, source):
+            derived.append(source)
+            return original(self, source)
+
+        monkeypatch.setattr(DeltaOverlay, "_delta_piece", counting)
+        target = next(t for t in range(300)
+                      if t != 44 and t not in dyn.out_neighbors(44))
+        assert dyn.add_edges([(44, target)]) == 1
+        dyn.propagate(x)
+        assert derived == [44]
+        dyn.propagate(x)  # compiled: nothing left to derive
+        assert derived == [44]

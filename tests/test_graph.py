@@ -64,6 +64,29 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             Graph(3, np.array([[0, 1]]), np.array([[1, 2]]))
 
+    @pytest.mark.parametrize(
+        "src, dst",
+        [
+            ([1.7, 0.0], [3.9, 1.0]),
+            (np.array([2.2, 0.5]), np.array([4.8, 1.0])),
+            (np.array([True, False]), np.array([False, True])),
+        ],
+    )
+    def test_non_integer_endpoints_rejected(self, src, dst):
+        # Not truncated to 1->3 / 2->4: float and bool ids are refused.
+        with pytest.raises(GraphFormatError, match="integers"):
+            Graph(5, src, dst)
+
+    def test_from_edges_rejects_float_endpoints(self):
+        with pytest.raises(GraphFormatError, match="integers"):
+            Graph.from_edges(5, [(1.7, 3.9), (0, 1)])
+
+    def test_integer_endpoint_dtypes_accepted(self):
+        graph = Graph(3, np.array([0, 1], dtype=np.uint8),
+                      np.array([1, 2], dtype=np.int32), dangling="uniform")
+        assert graph.num_edges == 2
+        assert Graph(2, [], [], dangling="uniform").num_edges == 0
+
 
 class TestDegrees:
     def test_out_degree(self, line_graph):

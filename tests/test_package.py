@@ -1,6 +1,8 @@
 """Package-level tests: public API surface, exceptions, version."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,16 @@ class TestPublicAPI:
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_setup_reports_name_and_version(self):
+        """``setup.py`` names the distribution and reads the package's
+        version, so an install is not ``UNKNOWN 0.0.0``."""
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["repro", repro.__version__]
 
     def test_key_entry_points_present(self):
         for name in ("TPA", "cpi", "Graph", "community_graph", "rwr_exact",
