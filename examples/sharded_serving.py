@@ -1,11 +1,10 @@
 """Sharded multi-process serving — exact results across shard workers.
 
 Python threads share one GIL; the :class:`repro.sharding.Router` does
-not.  It cuts the propagation operator's rows on the graph's own
-structure (SlashBurn hub band pinned to shard 0, spoke shards closed on
-community-block starts), publishes each shard's CSR stripe into shared
-memory, and runs every iterate sweep of TPA's online phase
-stripe-parallel across one worker process per shard.  The merged
+not.  It cuts the propagation operator's rows into equal stripes,
+publishes each shard's CSR stripe into shared memory, and runs every
+iterate sweep of TPA's online phase stripe-parallel across one worker
+process per shard.  The merged
 results are *bitwise identical* to a single-process ``Engine.batch`` —
 this example proves it, then times a larger batch through the router.
 (Open-loop latency under load is the benchmark ladder's
@@ -36,16 +35,14 @@ def main() -> None:
                 for seed in range(0, 4000, 40)]
 
     print("\nServing serially (one process) for the reference ...")
-    serial = Engine(create_method("tpa"), graph, reorder="slashburn")
+    serial = Engine(create_method("tpa"), graph)
     reference = serial.batch(requests)
 
-    print("Starting a Router: 4 shard worker processes, SlashBurn cuts ...")
-    with Router(create_method("tpa"), graph, num_shards=4,
-                reorder="slashburn", max_batch=32,
+    print("Starting a Router: 4 shard worker processes ...")
+    with Router(create_method("tpa"), graph, num_shards=4, max_batch=32,
                 cache_size=1024) as router:
         rows = router.stats()["shards"]["shard_rows"]
         print(f"  shard row stripes: {rows}")
-        print(f"  hub band rows:     {router.plan.num_hubs} (shard 0)")
 
         results = router.batch(requests)
         exact = all(

@@ -46,13 +46,10 @@ or ``kernels.set_compute_dtype("float32")`` — roughly half the memory
 traffic for an L1 error below ``~1e-5`` on the bundled graphs (see the
 :mod:`repro.kernels` docstring for when to keep float64).  The Engine's
 LRU cache keys on ``kernels.cache_token()``, so switching backend or
-dtype mid-serve never replays a stale vector.  ``Engine(...,
-reorder="slashburn")`` additionally relabels the graph into SlashBurn
-hub/spoke order so each CSR row's gathers cluster, translating node ids
-at the API boundary.  Top-k serving streams in column blocks with the
-compiled :func:`repro.kernels.select_top_k_many` selection fused into
-the block loop — the full ``n x batch`` score matrix never
-materializes.
+dtype mid-serve never replays a stale vector.  Top-k serving streams
+in column blocks with the compiled
+:func:`repro.kernels.select_top_k_many` selection fused into the block
+loop — the full ``n x batch`` score matrix never materializes.
 
 Performance is measured by the benchmark ladder,
 ``python3 benchmarks/ladder/run.py``: four workloads, end-to-end and
@@ -62,7 +59,7 @@ a change's ladder results against its parent's.
 Package map
 -----------
 * :mod:`repro.kernels` — the compiled sparse-kernel layer (backends,
-  ``spmv``/``spmm``, ``Workspace``, SlashBurn locality reordering).
+  ``spmv``/``spmm``, ``Workspace``, top-k selection).
 * :mod:`repro.engine` — the batched query engine (``Engine``,
   ``QueryRequest``/``QueryResult``) and the method registry
   (``available_methods`` / ``create_method``).

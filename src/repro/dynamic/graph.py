@@ -39,7 +39,7 @@ expansion) over to their substrate-agnostic fallbacks.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -438,16 +438,6 @@ class DynamicGraph:
                 y += kernels.spmm(delta, x)
         return y
 
-    def overlay_snapshot(self):
-        """``(events, rows, cols, vals)`` of the pending delta in base
-        coordinates, or ``None`` when clean — what a permuted view needs
-        to compile its translated delta."""
-        with self._lock:
-            if not self._overlay.touched:
-                return None
-            rows, cols, vals = self._overlay.delta_coo()
-            return self._overlay.events, rows, cols, vals
-
     # -- graph protocol (overlay-aware) ----------------------------------------
 
     @property
@@ -529,12 +519,6 @@ class DynamicGraph:
     def undirected_view(self) -> sp.csr_array:
         return self._clean_base("undirected_view").undirected_view()
 
-    def permute(self, perm: np.ndarray) -> "_PermutedDynamicGraph":
-        """A live relabeled view (old node ``perm[i]`` becomes new node
-        ``i``) that tracks this graph's mutations and compactions —
-        what ``Engine(reorder=...)`` serves against."""
-        return _PermutedDynamicGraph(self, perm)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
             return (
@@ -542,197 +526,3 @@ class DynamicGraph:
                 f"m={self.num_edges}, epoch={self._epoch}, "
                 f"pending={len(self._overlay.touched_sources)})"
             )
-
-
-class _PermutedDynamicGraph:
-    """A relabeled live view of a :class:`DynamicGraph`.
-
-    :meth:`Graph.permute` on the immutable graph returns a frozen copy;
-    on a dynamic graph the serving side needs the *view* to track the
-    root's mutations, so this object lazily re-permutes the base on
-    every compaction and re-translates the pending delta on every
-    mutation generation.  It exposes the same protocol surface as
-    :class:`DynamicGraph` (products, dangling data, epoch token, the
-    clean-only CSR attributes) in view coordinates.
-    """
-
-    def __init__(self, parent: DynamicGraph, perm: np.ndarray):
-        perm = np.asarray(perm, dtype=np.int64)
-        n = parent.num_nodes
-        if perm.shape != (n,) or not np.array_equal(
-            np.sort(perm), np.arange(n)
-        ):
-            raise GraphFormatError("perm must be a permutation of 0..n-1")
-        self._parent = parent
-        self._perm = perm.copy()
-        self._inverse = np.empty_like(perm)
-        self._inverse[perm] = np.arange(n)
-        self._lock = threading.RLock()
-        self._synced_epoch = -1
-        self._base: Graph | None = None
-        # Translated delta operators keyed (events, decay, dtype name).
-        self._delta_cache: dict[tuple[int, float | None, str], sp.csr_array | None] = {}
-        self._sync()
-
-    def _sync(self) -> Graph:
-        """Re-permute the base iff the parent compacted since last time."""
-        with self._lock:
-            epoch, base = self._parent.base_snapshot()
-            if epoch != self._synced_epoch:
-                self._base = base.permute(self._perm)
-                self._synced_epoch = epoch
-                self._delta_cache.clear()
-            return self._base
-
-    def _translated_delta(
-        self, decay: float | None, dtype: np.dtype
-    ) -> sp.csr_array | None:
-        snapshot = self._parent.overlay_snapshot()
-        if snapshot is None:
-            return None
-        events, rows, cols, vals = snapshot
-        key = (events, decay, np.dtype(dtype).name)
-        with self._lock:
-            if key in self._delta_cache:
-                return self._delta_cache[key]
-            if len(self._delta_cache) > 8:
-                self._delta_cache.clear()
-            n = self._perm.size
-            if rows.size:
-                delta = sp.csr_array(
-                    (kernels.scaled_values(vals, decay, dtype),
-                     (self._inverse[rows], self._inverse[cols])),
-                    shape=(n, n),
-                )
-            else:
-                delta = None
-            self._delta_cache[key] = delta
-            return delta
-
-    # -- products --------------------------------------------------------------
-
-    def _folded(self, x, decay, out):
-        x = np.asarray(x)
-        dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
-        # Snapshot base + delta + dangling of one generation; retry when
-        # a compaction slides in between the reads (a handful of cheap
-        # pointer reads — the loop converges immediately in practice).
-        for _ in range(8):
-            base = self._sync()
-            dirty = self._parent.dirty
-            delta = self._translated_delta(decay, dtype) if dirty else None
-            dangling = self.dangling_nodes if dirty else None
-            if self._parent.base_epoch == self._synced_epoch:
-                break
-        if not dirty:
-            if decay is None:
-                return base.propagate(x)
-            return base.propagate_decayed(x, decay, out=out)
-        return _folded_product(
-            base, delta, dangling, self._parent.dangling_policy,
-            x, decay, out,
-        )
-
-    def propagate(self, x: np.ndarray) -> np.ndarray:
-        return self._folded(x, None, None)
-
-    def propagate_decayed(
-        self, x: np.ndarray, decay: float, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self._folded(x, float(decay), out)
-
-    def apply_delta(
-        self, x: np.ndarray, decay: float | None, y: np.ndarray
-    ) -> np.ndarray:
-        """View-coordinate overlay fold (see :meth:`DynamicGraph.apply_delta`)."""
-        x = np.asarray(x)
-        dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
-        delta = self._translated_delta(decay, dtype)
-        if delta is not None:
-            if x.ndim == 1:
-                y += kernels.spmv(delta, x)
-            else:
-                y += kernels.spmm(delta, x)
-        return y
-
-    # -- epochs / protocol -----------------------------------------------------
-
-    def epoch_token(self) -> str:
-        return self._parent.epoch_token()
-
-    @property
-    def base_epoch(self) -> int:
-        return self._parent.base_epoch
-
-    def base_snapshot(self) -> tuple[int, Graph]:
-        with self._lock:
-            epoch, _ = self._parent.base_snapshot()
-            # Sync so the returned graph matches the returned epoch even
-            # when the parent compacted since our last product.
-            base = self._sync()
-            return self._synced_epoch, base
-
-    def dirty_rows_since(self, epoch: int) -> np.ndarray | None:
-        rows = self._parent.dirty_rows_since(epoch)
-        if rows is None:
-            return None
-        return np.sort(self._inverse[rows])
-
-    @property
-    def dirty(self) -> bool:
-        return self._parent.dirty
-
-    @property
-    def num_nodes(self) -> int:
-        return self._parent.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self._parent.num_edges
-
-    @property
-    def dangling_policy(self) -> str:
-        return self._parent.dangling_policy
-
-    @property
-    def dangling_nodes(self) -> np.ndarray:
-        parent_dangling = self._parent.dangling_nodes
-        if not parent_dangling.size:
-            return parent_dangling
-        return np.sort(self._inverse[parent_dangling])
-
-    @property
-    def out_degree(self) -> np.ndarray:
-        return self._parent.out_degree[self._perm]
-
-    def out_neighbors(self, node: int) -> np.ndarray:
-        original = self._parent.out_neighbors(int(self._perm[node]))
-        return np.sort(self._inverse[original])
-
-    # -- structural CSR surface (clean only) -----------------------------------
-
-    def _clean_base(self, name: str) -> Graph:
-        if self._parent.dirty:
-            raise AttributeError(
-                f"{name} is stale while overlay mutations are pending; "
-                "call compact() first"
-            )
-        return self._sync()
-
-    @property
-    def adjacency(self) -> sp.csr_array:
-        return self._clean_base("adjacency").adjacency
-
-    @property
-    def transition(self) -> sp.csr_array:
-        return self._clean_base("transition").transition
-
-    @property
-    def transition_transpose(self) -> sp.csr_array:
-        return self._clean_base("transition_transpose").transition_transpose
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"_PermutedDynamicGraph(n={self.num_nodes}, "
-            f"epoch={self._synced_epoch})"
-        )

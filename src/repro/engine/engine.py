@@ -159,20 +159,6 @@ class Engine:
         instead of a private one — this is how
         :class:`~repro.serving.Server` makes all its Engine replicas
         share one cache.  Mutually exclusive with ``cache_size``.
-    reorder:
-        ``"slashburn"`` relabels the graph into SlashBurn hub/spoke order
-        before preprocessing (:func:`repro.kernels.locality_reordering`),
-        which clusters each CSR row's column gathers and makes the
-        blocked ``(n, B)`` SpMM of the online phase cache friendly.
-        The engine translates seeds and results at the boundary, so
-        callers keep using original node ids throughout.  Requires
-        ``graph`` (an already-preprocessed method is bound to its node
-        ordering).  A caller-built
-        :class:`~repro.kernels.LocalityReordering` over ``graph`` is
-        accepted too — :class:`repro.sharding.Router` passes the
-        community-aligned ordering it derives from
-        :func:`~repro.graph.partition.partition_graph` this way.
-        ``None`` (default) serves in the input ordering.
     stream_block:
         Column-block width of the streamed top-k path (default 128).
         :meth:`serve` always scores at most this many seeds at a time,
@@ -245,7 +231,6 @@ class Engine:
         method: PPRMethod,
         graph: Graph | None = None,
         cache_size: int = 0,
-        reorder: str | None = None,
         stream_block: int | str | None = None,
         memory_budget_bytes: int | None = None,
         cache: "ScoreCache | None" = None,
@@ -263,14 +248,6 @@ class Engine:
         if cache is not None and cache_size:
             raise ParameterError(
                 "pass either a shared cache or cache_size, not both"
-            )
-        if reorder is not None and not (
-            reorder == "slashburn"
-            or isinstance(reorder, kernels.LocalityReordering)
-        ):
-            raise ParameterError(
-                f"unknown reorder strategy {reorder!r}; choose 'slashburn', "
-                "a LocalityReordering instance, or None"
             )
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
             raise ParameterError("memory_budget_bytes must be positive")
@@ -304,43 +281,24 @@ class Engine:
                 raise ParameterError("stream_block must be at least 1")
             self._stream_block = int(stream_block)
             self._memory_budget_bytes = None
-        self._reordering: kernels.LocalityReordering | None = None
-        if reorder is not None:
-            if graph is None:
-                raise ParameterError(
-                    "reorder requires the graph (a preprocessed method is "
-                    "already bound to its node ordering)"
-                )
-            if isinstance(reorder, kernels.LocalityReordering):
-                # A caller-built ordering (e.g. the community-aligned one
-                # repro.sharding derives from partition_graph) — it must
-                # be a relabeling of this very graph.
-                if reorder.to_original.size != graph.num_nodes:
-                    raise ParameterError(
-                        f"reordering covers {reorder.to_original.size} "
-                        f"nodes but the graph has {graph.num_nodes}"
-                    )
-                self._reordering = reorder
-            else:
-                self._reordering = kernels.locality_reordering(graph)
-        self._original_graph = graph
-        serving_graph = (
-            self._reordering.graph if self._reordering is not None else graph
-        )
-        if serving_graph is None:
+        if graph is None:
             if not method.is_preprocessed:
                 raise ParameterError(
                     "Engine needs a graph to preprocess for, or an "
                     "already-preprocessed method"
                 )
             self._preprocess_seconds = 0.0
-        elif method.is_preprocessed and method.graph is serving_graph:
+        elif method.is_preprocessed and method.graph is graph:
             self._preprocess_seconds = 0.0
         else:
             begin = time.perf_counter()
-            method.preprocess(serving_graph)
+            method.preprocess(graph)
             self._preprocess_seconds = time.perf_counter() - begin
         self._method = method
+        # The graph requests are answered against: ranking masks, the
+        # epoch source.  The same object as ``method.graph`` except on a
+        # ShardedEngine, whose method sweeps through the shard operator.
+        self._graph = method.graph
         if cache is not None:
             self._score_cache: "ScoreCache | None" = cache
         elif cache_size:
@@ -360,19 +318,11 @@ class Engine:
             self._score_cache.bind(
                 (type(method).__name__, id(root), id(method.graph))
             )
-        # Epoch tracking for mutable substrates: the caller-space graph
-        # is the epoch source (a reordering's permuted view delegates its
-        # epoch token to the parent, so either works — the caller's is
-        # the one requests arrive against).
+        # Epoch tracking for mutable substrates.
         self._warm_start = bool(warm_start)
-        epoch_graph = (
-            self._original_graph
-            if self._original_graph is not None
-            else method.graph
-        )
         self._epoch_graph = (
-            epoch_graph
-            if callable(getattr(epoch_graph, "epoch_token", None))
+            self._graph
+            if callable(getattr(self._graph, "epoch_token", None))
             else None
         )
         self._synced_epoch_token: str | None = (
@@ -384,9 +334,9 @@ class Engine:
         self._misses = 0
         self._queries_served = 0
         self._online_seconds = 0.0
-        # Retained serving scratch: per-request banned masks, masked-copy
-        # selection buffers, and the reorder gather of the streamed path
-        # all reuse these instead of allocating per request.
+        # Retained serving scratch: per-request banned masks and
+        # masked-copy selection buffers reuse these instead of
+        # allocating per request.
         self._workspace = kernels.Workspace()
         # One reentrant lock makes a bare Engine thread-safe: it guards
         # the online phase (whose workspace scratch must never be shared
@@ -419,17 +369,8 @@ class Engine:
 
     @property
     def graph(self) -> Graph:
-        """The graph in the caller's node-id space (the original graph
-        when a locality reordering is active — all request seeds and
-        result ids are expressed in it)."""
-        if self._original_graph is not None:
-            return self._original_graph
-        return self._method.graph
-
-    @property
-    def reordering(self) -> "kernels.LocalityReordering | None":
-        """The active SlashBurn locality reordering, if any."""
-        return self._reordering
+        """The graph requests are answered against."""
+        return self._graph
 
     @property
     def preprocess_seconds(self) -> float:
@@ -519,8 +460,8 @@ class Engine:
         """A serving replica of this engine for one more worker thread.
 
         The replica shares everything read-only — the preprocessed
-        method state (via :meth:`PPRMethod.replicate`), the serving
-        graph and its reordering, and the score cache object — while
+        method state (via :meth:`PPRMethod.replicate`), the graph, and
+        the score cache object — while
         owning every mutable piece: fresh workspace scratch, its own
         lock, and zeroed counters.  Replicas on separate threads
         therefore serve concurrently without aliasing buffers, which is
@@ -530,8 +471,7 @@ class Engine:
         clone._tune = self._tune
         clone._stream_block = self._stream_block
         clone._memory_budget_bytes = self._memory_budget_bytes
-        clone._reordering = self._reordering
-        clone._original_graph = self._original_graph
+        clone._graph = self._graph
         clone._preprocess_seconds = 0.0
         clone._method = self._method.replicate()
         clone._score_cache = self._score_cache
@@ -568,9 +508,9 @@ class Engine:
         :meth:`replicate`.
 
         Like a replica, the sharded engine shares every read-only piece
-        of this one (preprocessed method state, graph, reordering, score
-        cache) and owns its own scratch, lock, and counters.  Unlike a
-        replica, its method is re-bound to a
+        of this one (preprocessed method state, graph, score cache) and
+        owns its own scratch, lock, and counters.  Unlike a replica, its
+        method is re-bound to a
         :class:`~repro.sharding.ShardedOperator`: the serving operator's
         rows are published into shared memory once, ``num_shards``
         worker processes each map one row stripe zero-copy, and every
@@ -585,10 +525,8 @@ class Engine:
             Worker-process count (default 2; ignored when ``plan`` fixes
             it).
         plan:
-            Explicit :class:`~repro.sharding.ShardPlan`.  Default: cut
-            on this engine's reordering (hub band pinned to shard 0,
-            spoke shards closed on community-block starts) when one is
-            active, else equal stripes.
+            Explicit :class:`~repro.sharding.ShardPlan`.  Default: equal
+            stripes (:meth:`~repro.sharding.ShardPlan.uniform`).
         panel_cols:
             Column capacity of the shared iterate panels; wider operands
             are chunked (bitwise neutral).
@@ -747,8 +685,6 @@ class Engine:
         per_query_seconds = 0.0
         if fresh:
             query_seeds = np.asarray(fresh, dtype=np.int64)
-            if self._reordering is not None:
-                query_seeds = self._reordering.to_reordered[query_seeds]
             x0 = self._warm_hints(fresh)
             begin = time.perf_counter()
             if x0 is not None:
@@ -766,12 +702,7 @@ class Engine:
             )
             for row, seed in enumerate(fresh):
                 vector = matrix[row]
-                if self._reordering is not None:
-                    # Back to the caller's node ids (a fresh gather):
-                    # everything below (cache, exclusion masks,
-                    # rankings) runs in the original space.
-                    vector = self._reordering.scores_to_original(vector)
-                elif outlives or not vector.flags.c_contiguous:
+                if outlives or not vector.flags.c_contiguous:
                     vector = vector.copy()
                 if self._score_cache is not None:
                     self._cache_put(seed, vector, token)
@@ -821,10 +752,10 @@ class Engine:
         Only applies on a mutable substrate with warm starting on, a
         cache attached, and a method that
         :attr:`~repro.method.PPRMethod.supports_warm_start`.  Returns
-        the ``(len(fresh), n)`` guess matrix in the *serving* id space,
-        or ``None`` when nothing applies.  Rows without a hint stay
-        zero — an all-zero ``x0`` column reproduces the cold iteration
-        bitwise, so mixed batches are safe.
+        the ``(len(fresh), n)`` guess matrix, or ``None`` when nothing
+        applies.  Rows without a hint stay zero — an all-zero ``x0``
+        column reproduces the cold iteration bitwise, so mixed batches
+        are safe.
         """
         if (
             not self._warm_start
@@ -841,12 +772,7 @@ class Engine:
                 continue
             if x0 is None:
                 x0 = np.zeros((len(fresh), n), dtype=kernels.compute_dtype())
-            if self._reordering is not None:
-                # Cached vectors live in the caller's id space; gather
-                # them back into serving order for the iteration.
-                x0[row] = hint[self._reordering.to_original]
-            else:
-                x0[row] = hint
+            x0[row] = hint
         return x0
 
     def _rank(
@@ -874,8 +800,7 @@ class Engine:
         """The fused top-k schedule behind :meth:`batch`.
 
         Distinct seeds are scored ``stream_block`` at a time; every block
-        row is ranked (and, under a reordering, translated back to
-        original ids) immediately, then the block is reused for the next
+        row is ranked immediately, then the block is reused for the next
         panel — the full score matrix never exists.  Result records match
         the materialized path exactly: the first request of each distinct
         seed carries its share of the block wall-time, duplicates are
@@ -904,23 +829,11 @@ class Engine:
         block = self._resolve_stream_block()
         for start in range(0, len(order), block):
             chunk = np.asarray(order[start : start + block], dtype=np.int64)
-            query_seeds = chunk
-            if self._reordering is not None:
-                query_seeds = self._reordering.to_reordered[chunk]
             begin = time.perf_counter()
-            matrix = self._method.query_many(query_seeds)
+            matrix = self._method.query_many(chunk)
             elapsed = time.perf_counter() - begin
             per_query_seconds = elapsed / chunk.size
             self._online_seconds += elapsed
-            if self._reordering is not None:
-                # Back to the caller's id space in one gather (retained
-                # panel buffer; masks and rankings run in original ids).
-                panel = self._workspace.request(
-                    "stream.original", matrix.shape, matrix.dtype
-                )
-                np.take(matrix, self._reordering.to_reordered, axis=1,
-                        out=panel)
-                matrix = panel
             with obs_trace.phase("select"):
                 picks_block = (
                     self._rank_block(matrix, chunk, *fused_shape)
@@ -962,7 +875,7 @@ class Engine:
         """Fused selection for one streamed block of a homogeneous batch:
         vectorized exclusion masks plus one ``select_top_k_many`` call,
         all scratch drawn from the retained workspace.  ``chunk`` holds
-        the block's seeds in caller id space; returns the ``-1``-padded
+        the block's seeds; returns the ``-1``-padded
         ``(len(chunk), k)`` id matrix (a retained buffer — rows are
         copied out by the caller)."""
         banned = None
@@ -1002,8 +915,6 @@ class Engine:
         """
         k = validate_k(k)
         seeds_arr = self._method.validate_seeds(seeds)
-        if self._reordering is not None:
-            seeds_arr = self._reordering.to_reordered[seeds_arr]
         with self._lock:
             self._sync_epoch()
             block = self._resolve_stream_block()
@@ -1022,8 +933,6 @@ class Engine:
                         exclude_neighbors=exclude_neighbors,
                     )
             self._online_seconds += time.perf_counter() - begin
-            if self._reordering is not None:
-                rankings = self._reordering.ids_to_original(rankings)
             self._count_served(rankings.shape[0])
             return rankings
 

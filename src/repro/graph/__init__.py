@@ -18,7 +18,7 @@ This subpackage provides everything the RWR algorithms need from a graph:
 The graph protocol the iterate loops (:mod:`repro.core.cpi`) consume is
 ``propagate_decayed(x, decay, out=None)`` plus ``propagate(x)``; every
 substrate — :class:`Graph`, :class:`DiskGraph`,
-:class:`repro.dynamic.DynamicGraph` and its permuted view,
+:class:`repro.dynamic.DynamicGraph`,
 :class:`repro.sharding.ShardedOperator` — implements both.
 """
 

@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 from repro import kernels
 from repro.exceptions import GraphFormatError, ParameterError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, validate_dangling_policy
 
 __all__ = ["DiskGraph"]
 
@@ -78,7 +78,9 @@ class DiskGraph:
         self._m = int(meta["num_edges"])
         self._rows_per_stripe = int(meta["rows_per_stripe"])
         self._num_stripes = int(meta["num_stripes"])
-        self._dangling_policy = meta["dangling_policy"]
+        self._dangling_policy = validate_dangling_policy(
+            meta["dangling_policy"]
+        )
         dangling_path = self._dir / "dangling.npy"
         self._dangling = (
             np.load(dangling_path) if dangling_path.exists() else np.empty(0, np.int64)

@@ -11,13 +11,17 @@ assumptions behind Lemmas 1–3 hold for every policy.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import kernels
-from repro.exceptions import DanglingNodeError, GraphFormatError
+from repro.exceptions import (
+    DanglingNodeError,
+    GraphFormatError,
+    ParameterError,
+)
 
 DanglingPolicy = Literal["error", "selfloop", "uniform"]
 
@@ -29,6 +33,17 @@ def _as_index_array(values: Iterable[int]) -> np.ndarray:
     if arr.ndim != 1:
         raise GraphFormatError("edge endpoint arrays must be one-dimensional")
     return integer_endpoints(arr)
+
+
+def validate_dangling_policy(policy) -> DanglingPolicy:
+    """``policy`` if it names a dangling policy; a misspelled one would
+    otherwise silently apply no correction at all."""
+    if policy not in get_args(DanglingPolicy):
+        raise ParameterError(
+            f"unknown dangling policy {policy!r}; choose one of "
+            + ", ".join(repr(name) for name in get_args(DanglingPolicy))
+        )
+    return policy
 
 
 def integer_endpoints(arr: np.ndarray) -> np.ndarray:
@@ -84,6 +99,7 @@ class Graph:
         dangling: DanglingPolicy = "error",
         keep_self_loops: bool = False,
     ):
+        validate_dangling_policy(dangling)
         if n <= 0:
             raise GraphFormatError("graph must have at least one node")
         src_arr = _as_index_array(src)

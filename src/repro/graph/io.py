@@ -96,6 +96,11 @@ def read_edge_list(
         src = inverse[: src.size]
         dst = inverse[src.size :]
         node_count = original_ids.size
+        if n is not None and n < node_count:
+            raise GraphFormatError(
+                f"n={n} is smaller than the {node_count} distinct node ids "
+                "in the edge list"
+            )
         if n is not None and n > node_count:
             # Caller wants isolated trailing nodes; extend the id map.
             extra = np.arange(node_count, n, dtype=np.int64)

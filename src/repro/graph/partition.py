@@ -15,10 +15,8 @@ the member selection of the merge/split pass — draws from one
 :class:`numpy.random.Generator` seeded by the ``seed`` argument, and no
 step consults process-dependent state (global NumPy RNG, hash order,
 address order).  Two processes given the same graph and seed therefore
-produce identical labels, which is what lets
-:mod:`repro.sharding` cut shard boundaries on partition frontiers and
-have every worker process agree on them (the test suite runs the
-cross-process regression).
+produce identical labels (the test suite runs the cross-process
+regression).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 
-__all__ = ["partition_graph", "partition_order"]
+__all__ = ["partition_graph"]
 
 
 def partition_graph(
@@ -142,33 +140,3 @@ def _rebalance(
             counts[donor] -= 1
             counts[part] += 1
     return labels
-
-
-def partition_order(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node ordering that makes each partition a contiguous row range.
-
-    Parameters
-    ----------
-    labels:
-        Length-``n`` partition labels (e.g. from :func:`partition_graph`).
-
-    Returns
-    -------
-    tuple
-        ``(permutation, starts)``: ``permutation`` lists old node ids in
-        their new order (nodes sorted stably by label, so relabeling a
-        graph with :meth:`~repro.graph.graph.Graph.permute` groups each
-        community into one block), and ``starts`` holds the first new id
-        of every non-empty partition, ascending — the natural cut points
-        for community-aligned row shards.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ParameterError("labels must be a non-empty 1-D array")
-    permutation = np.argsort(labels, kind="stable").astype(np.int64)
-    ordered = labels[permutation]
-    firsts = np.flatnonzero(np.diff(ordered) != 0) + 1
-    starts = np.concatenate(
-        [np.zeros(1, dtype=np.int64), firsts.astype(np.int64)]
-    )
-    return permutation, starts

@@ -57,38 +57,6 @@ class SlashBurnOrdering:
     blocks: list[np.ndarray]
     iterations: int
 
-    def block_starts(self) -> np.ndarray:
-        """First new node id of every non-hub block, ascending.
-
-        These are the natural cut points of the permuted operator: a row
-        stripe closed on a block start gathers only from its own blocks
-        plus the hub band.  Empty when the graph is all hubs.
-        """
-        if not self.blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(
-            [int(block[0]) for block in self.blocks], dtype=np.int64
-        )
-
-    def block_boundaries(self) -> np.ndarray:
-        """Every natural cut point of the permuted operator, ascending:
-        the hub/spoke frontier, each non-hub block start, and ``n``.
-
-        This is the candidate set row shards may close on — cutting
-        anywhere else would split a community block across two
-        stripes.  :func:`repro.sharding.ShardPlan.from_slashburn` packs
-        shard boundaries from exactly this set.
-        """
-        n = int(self.permutation.size)
-        cuts = np.concatenate(
-            [
-                np.asarray([self.num_hubs], dtype=np.int64),
-                self.block_starts(),
-                np.asarray([n], dtype=np.int64),
-            ]
-        )
-        return np.unique(cuts[(cuts >= 0) & (cuts <= n)])
-
 
 def slashburn(graph: Graph, k: int | None = None, max_block: int | None = None) -> SlashBurnOrdering:
     """Compute a SlashBurn ordering of ``graph``.

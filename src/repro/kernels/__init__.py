@@ -18,9 +18,7 @@ power-iteration baseline — bottoms out in repeated sparse matrix–vector
   row stripes, bitwise identical to the pre-kernel ``operator @ x`` code
   path;
 * :class:`Workspace` — named, retained iterate buffers for ping-pong
-  loops (counted in ``preprocessed_bytes`` so memory figures stay honest);
-* :func:`locality_reordering` — the SlashBurn row reordering that makes
-  the blocked SpMM cache friendly (``Engine(..., reorder="slashburn")``).
+  loops (counted in ``preprocessed_bytes`` so memory figures stay honest).
 
 Threads: borrowing idle cores
 -----------------------------
@@ -118,7 +116,6 @@ from repro.kernels.backend import (
     set_shard_annotation,
     shard_annotation,
 )
-from repro.kernels.reorder import LocalityReordering, locality_reordering
 from repro.kernels.tiling import rows_from_panel
 from repro.kernels.topk import select_top_k, select_top_k_many
 from repro.kernels.workspace import Workspace
@@ -139,8 +136,6 @@ __all__ = [
     "set_num_threads",
     "kernel_threads",
     "Workspace",
-    "LocalityReordering",
-    "locality_reordering",
     "rows_from_panel",
 ]
 

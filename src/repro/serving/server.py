@@ -238,7 +238,7 @@ class Server:
     cache_size:
         Capacity of the *shared* :class:`ScoreCache`; ``0`` disables
         caching.
-    reorder / stream_block / memory_budget_bytes:
+    stream_block / memory_budget_bytes:
         Forwarded to :class:`~repro.engine.Engine`.
     warm:
         Run one throwaway query per replica before accepting traffic
@@ -295,7 +295,6 @@ class Server:
         max_wait_ms: float | None = None,
         max_pending: int = 1024,
         cache_size: int = 0,
-        reorder: str | None = None,
         stream_block: int | str | None = None,
         memory_budget_bytes: int | None = None,
         warm: bool = True,
@@ -347,7 +346,6 @@ class Server:
             self._primary = Engine(
                 method,
                 graph,
-                reorder=reorder,
                 stream_block=stream_block,
                 memory_budget_bytes=memory_budget_bytes,
                 cache=self._cache,
@@ -542,8 +540,6 @@ class Server:
             raise RuntimeError("server is closed")
         if request.k is not None:
             validate_k(request.k)
-        # Seed ids are validated in the caller's id space, which matches
-        # the serving space in size (reordering is a permutation).
         self.engine.method.validate_seed(request.seed)
         return self._scheduler.submit(request)
 

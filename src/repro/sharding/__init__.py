@@ -1,18 +1,13 @@
-"""Sharded multi-process serving: partition-aligned workers over
+"""Sharded multi-process serving: row-stripe workers over
 shared-memory CSR.
 
 :mod:`repro.serving` scales queries across *threads* — replicas of one
 Engine overlapping inside the kernel calls that release the interpreter
-lock.  This package is the next escape hatch: **processes**.  TPA's own
-structure (a SlashBurn hub band plus near-block-diagonal community
-blocks, and per-block contributions that are cheap to combine) is
-exactly the structure a sharded deployment wants, so the operator's rows
-are cut on those frontiers and each shard is owned by one worker
-process:
+lock.  This package is the next escape hatch: **processes**.  The
+operator's rows are cut into contiguous stripes and each stripe is
+owned by one worker process:
 
-* :class:`ShardPlan` — contiguous row stripes cut on SlashBurn block
-  starts (hub band pinned to shard 0) or
-  :func:`~repro.graph.partition.partition_graph` community boundaries;
+* :class:`ShardPlan` — contiguous row stripes of near-equal height;
 * :class:`ShardStore` — publishes each shard's CSR row stripe plus the
   two iterate panels into ``multiprocessing.shared_memory``; workers map
   them zero-copy, and ``close()`` provably unlinks every segment;
@@ -37,7 +32,7 @@ Quickstart::
 
     graph = community_graph(10_000, avg_degree=10, seed=7)
     with Router(create_method("tpa"), graph, num_shards=4,
-                reorder="slashburn", cache_size=1024) as router:
+                cache_size=1024) as router:
         futures = [router.submit(QueryRequest(seed=s, k=10))
                    for s in range(100)]
         results = [f.result() for f in futures]
@@ -51,7 +46,7 @@ it reports the same keys.
 from repro.sharding.engine import ShardedEngine, shard_engine
 from repro.sharding.operator import ShardedOperator
 from repro.sharding.plan import ShardPlan
-from repro.sharding.router import Router, partition_reordering
+from repro.sharding.router import Router
 from repro.sharding.store import ShardStore, StripeSpec
 from repro.sharding.worker import ShardWorker
 
@@ -64,5 +59,4 @@ __all__ = [
     "ShardedEngine",
     "shard_engine",
     "Router",
-    "partition_reordering",
 ]

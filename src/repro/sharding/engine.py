@@ -3,8 +3,8 @@
 :func:`shard_engine` is the implementation behind
 :meth:`repro.engine.Engine.shard`: like
 :meth:`~repro.engine.Engine.replicate` it produces an Engine that shares
-every read-only piece of the source (preprocessed arrays, graph,
-reordering, score cache) while owning its own scratch — but instead of
+every read-only piece of the source (preprocessed arrays, graph, score
+cache) while owning its own scratch — but instead of
 serving on the calling thread, its method is re-bound to a
 :class:`~repro.sharding.ShardedOperator`, so every iterate sweep of the
 online phase fans out across shard worker processes.
@@ -91,16 +91,10 @@ def shard_engine(
     """Build the sharded replica of ``engine`` (see ``Engine.shard``)."""
     if num_shards is not None and num_shards < 1:
         raise ParameterError("num_shards must be at least 1")
-    reordering = engine.reordering
-    serving_graph = (
-        reordering.graph if reordering is not None else engine.method.graph
-    )
     if plan is None:
-        shards = 2 if num_shards is None else num_shards
-        if reordering is not None:
-            plan = ShardPlan.from_slashburn(reordering, shards)
-        else:
-            plan = ShardPlan.uniform(serving_graph.num_nodes, shards)
+        plan = ShardPlan.uniform(
+            engine.graph.num_nodes, 2 if num_shards is None else num_shards
+        )
     elif num_shards is not None and plan.num_shards != num_shards:
         # An explicit plan fixes the worker count; a contradicting
         # num_shards is almost certainly a bug.
@@ -109,7 +103,7 @@ def shard_engine(
             f"{num_shards} was requested"
         )
     operator = ShardedOperator(
-        serving_graph,
+        engine.graph,
         plan,
         panel_cols=panel_cols,
         start_method=start_method,
@@ -124,23 +118,17 @@ def shard_engine(
         clone._tune = getattr(engine, "_tune", None)
         clone._stream_block = engine._stream_block
         clone._memory_budget_bytes = engine._memory_budget_bytes
-        clone._reordering = reordering
         clone._preprocess_seconds = 0.0
         clone._method = engine.method.replicate()
         # The re-binding that makes the replica sharded: the method's
         # online phase now sweeps through the distributed operator.
         clone._method._graph = operator
-        # Ranking masks and result ids stay in the caller's structural
-        # graph, exactly as on the source engine.
-        clone._original_graph = engine.graph
+        # Ranking masks and epochs stay on the structural graph,
+        # exactly as on the source engine.
+        clone._graph = engine.graph
         clone._score_cache = engine.cache
         clone._warm_start = engine._warm_start
-        epoch_graph = engine.graph
-        clone._epoch_graph = (
-            epoch_graph
-            if callable(getattr(epoch_graph, "epoch_token", None))
-            else None
-        )
+        clone._epoch_graph = engine._epoch_graph
         clone._synced_epoch_token = (
             clone._epoch_graph.epoch_token()
             if clone._epoch_graph is not None

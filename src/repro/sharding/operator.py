@@ -191,10 +191,10 @@ class ShardedOperator:
             else np.empty(0, dtype=np.int64)
         )
         self._dangling_policy = getattr(graph, "dangling_policy", "error")
-        # A mutable substrate (repro.dynamic.DynamicGraph or its permuted
-        # view) publishes its immutable *base* into shared memory; the
-        # overlay delta is folded in router-side each sweep, and a
-        # compaction triggers a partial stripe republish (see _sweep).
+        # A mutable substrate (repro.dynamic.DynamicGraph) publishes its
+        # immutable *base* into shared memory; the overlay delta is
+        # folded in router-side each sweep, and a compaction triggers a
+        # partial stripe republish (see _sweep).
         self._dynamic = callable(getattr(graph, "base_snapshot", None))
         if self._dynamic:
             self._published_epoch, publish_source = graph.base_snapshot()

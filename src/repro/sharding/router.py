@@ -21,50 +21,14 @@ in-flight batch would only contend for the same shard pipes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.engine import Engine
-from repro.exceptions import ParameterError
-from repro.graph.partition import partition_graph, partition_order
-from repro.kernels.reorder import LocalityReordering
 from repro.method import PPRMethod
 from repro.obs import metrics as obs_metrics
 from repro.resilience.retry import RetryPolicy
 from repro.serving.server import Server
 from repro.sharding.plan import ShardPlan
 
-__all__ = ["Router", "partition_reordering"]
-
-
-def partition_reordering(
-    graph,
-    num_partitions: int,
-    seed: int | np.random.Generator | None = 0,
-    iterations: int = 8,
-) -> LocalityReordering:
-    """A community-aligned node ordering for partition-cut shards.
-
-    Runs :func:`~repro.graph.partition.partition_graph` (explicitly
-    seeded — every process derives the same labels), relabels the graph
-    so each community is one contiguous row block, and wraps the result
-    in a :class:`~repro.kernels.LocalityReordering` whose
-    ``block_starts`` are the community frontiers — exactly what
-    :meth:`ShardPlan.from_slashburn` packs shard cuts from, and what the
-    Engine's ``reorder=`` parameter accepts.
-    """
-    labels = partition_graph(
-        graph, num_partitions, iterations=iterations, seed=seed
-    )
-    permutation, starts = partition_order(labels)
-    inverse = np.empty_like(permutation)
-    inverse[permutation] = np.arange(permutation.size)
-    return LocalityReordering(
-        graph=graph.permute(permutation),
-        to_reordered=inverse,
-        to_original=permutation,
-        num_hubs=0,
-        block_starts=starts[starts > 0],
-    )
+__all__ = ["Router"]
 
 
 class Router(Server):
@@ -82,18 +46,8 @@ class Router(Server):
         Shard worker-process count (default: ``plan``'s, else the tuned
         profile's, else 2).
     plan:
-        Explicit :class:`ShardPlan`; the default cuts on the active
-        reordering's frontiers (hub band to shard 0 under
-        ``reorder="slashburn"``, community boundaries under
-        ``reorder="partition"``) or into equal stripes.
-    reorder:
-        ``None``, ``"slashburn"`` (hub/spoke relabeling, as on the
-        Engine), ``"partition"`` (community relabeling via
-        :func:`partition_reordering`, cut-aligned with the default
-        plan), or a ready :class:`~repro.kernels.LocalityReordering`.
-    partition_seed:
-        Seed of the ``"partition"`` reordering's label pass (explicit so
-        every process agrees on the boundaries).
+        Explicit :class:`ShardPlan`; the default cuts equal stripes
+        (:meth:`ShardPlan.uniform`).
     max_batch / max_wait_ms / max_pending / cache_size:
         As on :class:`~repro.serving.Server`.
     stream_block / memory_budget_bytes / warm:
@@ -135,8 +89,6 @@ class Router(Server):
         *,
         num_shards: int | None = None,
         plan: ShardPlan | None = None,
-        reorder=None,
-        partition_seed: int = 0,
         max_batch: int | None = None,
         max_wait_ms: float | None = None,
         max_pending: int = 1024,
@@ -161,14 +113,6 @@ class Router(Server):
                 num_shards = int(tune.shards)
             else:
                 num_shards = 2
-        if reorder == "partition":
-            if graph is None:
-                raise ParameterError(
-                    "reorder='partition' requires the graph"
-                )
-            reorder = partition_reordering(
-                graph, max(num_shards, 2), seed=partition_seed
-            )
         self._shard_options = dict(
             num_shards=num_shards,
             plan=plan,
@@ -188,7 +132,6 @@ class Router(Server):
             max_wait_ms=max_wait_ms,
             max_pending=max_pending,
             cache_size=cache_size,
-            reorder=reorder,
             stream_block=stream_block,
             memory_budget_bytes=memory_budget_bytes,
             warm=warm,

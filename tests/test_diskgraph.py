@@ -1,5 +1,7 @@
 """Unit tests for the disk-resident graph extension."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ class TestBuildAndOpen:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(GraphFormatError):
             DiskGraph(tmp_path / "nope")
+
+    def test_misspelled_dangling_policy_on_disk_rejected(
+        self, small_community, tmp_path
+    ):
+        DiskGraph.build(small_community, tmp_path, rows_per_stripe=64)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["dangling_policy"] = "self_loop"
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ParameterError, match="dangling policy"):
+            DiskGraph(tmp_path)
 
     def test_invalid_stripe_size(self, small_community, tmp_path):
         with pytest.raises(ParameterError):

@@ -356,35 +356,6 @@ class TestEngineCacheRepair:
         assert stats["hits"] >= 0 and stats["misses"] >= checked
 
 
-class TestPermutedView:
-    def test_permuted_view_tracks_mutations(self, base):
-        dyn = DynamicGraph(base)
-        rng = np.random.default_rng(7)
-        perm = rng.permutation(300)
-        view = dyn.permute(perm)
-        inverse = np.empty(300, dtype=np.int64)
-        inverse[perm] = np.arange(300)
-        x = rng.random(300)
-        assert np.allclose(
-            view.propagate(x)[inverse], dyn.propagate(x[inverse])
-        )
-        dyn.add_edges([(5, 200), (200, 5)])
-        got = view.propagate(x)[inverse]
-        want = dyn.propagate(x[inverse])
-        assert np.abs(got - want).max() <= 50 * OVERLAY_TOLERANCE
-        dyn.compact()
-        # Cross-space comparison can only be allclose (permutation changes
-        # the accumulation order); bitwise holds within the permuted space
-        # against a fresh permuted rebuild of the compacted base.
-        assert np.allclose(
-            view.propagate(x)[inverse], dyn.propagate(x[inverse])
-        )
-        _, compacted = dyn.base_snapshot()
-        fresh_view = compacted.permute(perm)
-        assert np.array_equal(view.propagate(x), fresh_view.propagate(x))
-        assert view.epoch_token() == dyn.epoch_token()
-
-
 def _uniform_base() -> Graph:
     src, dst = community_graph(
         120, avg_degree=4, num_communities=4, seed=5

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import DanglingNodeError, GraphFormatError
+from repro.exceptions import (
+    DanglingNodeError,
+    GraphFormatError,
+    ParameterError,
+)
 from repro.graph.graph import Graph
 
 
@@ -123,6 +127,20 @@ class TestDanglingPolicies:
         x = np.array([0.2, 0.3, 0.5])
         y = dangling_graph_selfloop.propagate(x)
         assert y.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "policy", ["self_loop", "Uniform", "self-loop", "none", "", None]
+    )
+    def test_misspelled_policy_rejected(self, policy):
+        # Node 4 is dangling: a typo must not build a graph that leaks
+        # its mass instead of correcting it.
+        valid = "'error', 'selfloop', 'uniform'"
+        with pytest.raises(ParameterError, match=valid):
+            Graph(5, [0, 1, 2, 3, 0], [1, 2, 0, 4, 3], dangling=policy)
+
+    def test_misspelled_policy_rejected_without_dangling_nodes(self):
+        with pytest.raises(ParameterError, match="dangling policy"):
+            Graph(3, [0, 1, 2], [1, 2, 0], dangling="self_loop")
 
 
 class TestPropagate:

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphFormatError
+from repro.exceptions import GraphFormatError, ParameterError
 from repro.graph import read_edge_list, write_edge_list
 from repro.graph.graph import Graph
 
@@ -51,6 +51,18 @@ class TestReadEdgeList:
         assert graph.num_nodes == 5
         # Isolated nodes get self-loops under the default policy.
         assert graph.adjacency[4, 4] == 1.0
+
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_n_smaller_than_node_ids_rejected(self, relabel):
+        with pytest.raises(GraphFormatError):
+            read_edge_list(io.StringIO("0 5\n5 0\n"), n=1, relabel=relabel)
+
+    @pytest.mark.parametrize(
+        "policy", ["self_loop", "Uniform", "self-loop", "none", "", None]
+    )
+    def test_misspelled_dangling_policy_rejected(self, policy):
+        with pytest.raises(ParameterError, match="dangling policy"):
+            read_edge_list(io.StringIO("0 1\n1 2\n"), dangling=policy)
 
     def test_dangling_default_selfloop(self):
         text = io.StringIO("0 1\n")

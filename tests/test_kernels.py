@@ -8,8 +8,7 @@ The kernel layer's contract has two legs, each asserted here:
   via ``cache_token`` and never leaks between tests (fixtures restore).
 
 Plus the satellites that ride on the layer: retained-workspace byte
-accounting, the Engine's dtype/backend-aware LRU key, and the SlashBurn
-locality reordering fast path.
+accounting and the Engine's dtype/backend-aware LRU key.
 """
 
 import os
@@ -26,7 +25,7 @@ from repro.core.tpa import TPA
 from repro.engine import Engine, create_method
 from repro.exceptions import ParameterError
 from repro.graph.generators import community_graph
-from repro.kernels import Workspace, locality_reordering
+from repro.kernels import Workspace
 
 _SETTINGS = settings(
     max_examples=25,
@@ -267,78 +266,6 @@ class TestEngineCacheToken:
         )
         engine.query(1)
         assert engine.stats()["cache_misses"] == 2
-
-
-class TestLocalityReordering:
-    def test_roundtrip_maps(self, medium_community):
-        reordering = locality_reordering(medium_community)
-        n = medium_community.num_nodes
-        np.testing.assert_array_equal(
-            reordering.to_original[reordering.to_reordered], np.arange(n)
-        )
-        assert reordering.graph.num_nodes == n
-        assert reordering.graph.num_edges == medium_community.num_edges
-        assert 0 < reordering.num_hubs < n
-
-    def test_engine_reorder_matches_plain_scores(self, medium_community):
-        plain = Engine(
-            create_method("tpa", s_iteration=4, t_iteration=8),
-            medium_community,
-        )
-        reordered = Engine(
-            create_method("tpa", s_iteration=4, t_iteration=8),
-            medium_community, reorder="slashburn",
-        )
-        for seed in (0, 17, 123):
-            np.testing.assert_allclose(
-                reordered.query(seed).scores, plain.query(seed).scores,
-                rtol=1e-9, atol=1e-12,
-            )
-
-    def test_engine_reorder_top_k_in_original_ids(self, medium_community):
-        plain = Engine(
-            create_method("tpa", s_iteration=4, t_iteration=8),
-            medium_community,
-        )
-        reordered = Engine(
-            create_method("tpa", s_iteration=4, t_iteration=8),
-            medium_community, reorder="slashburn",
-        )
-        a = plain.query(42, k=10, exclude_neighbors=True)
-        b = reordered.query(42, k=10, exclude_neighbors=True)
-        np.testing.assert_array_equal(a.top_nodes, b.top_nodes)
-        np.testing.assert_allclose(a.top_scores, b.top_scores, rtol=1e-9)
-
-    def test_engine_reorder_serve_maps_and_pads(self, tiny_ring):
-        engine = Engine(create_method("cpi"), tiny_ring, reorder="slashburn")
-        rankings = engine.serve([0], k=50)
-        assert rankings.shape == (1, 50)
-        assert (rankings[0, :9] >= 0).all()
-        assert (rankings[0, 9:] == -1).all()  # padding untouched by the map
-        plain = Engine(create_method("cpi"), tiny_ring)
-        np.testing.assert_array_equal(
-            plain.serve([0], k=50), rankings
-        )
-
-    def test_reorder_requires_graph(self, small_community):
-        method = create_method("tpa", s_iteration=4, t_iteration=8)
-        method.preprocess(small_community)
-        with pytest.raises(ParameterError, match="reorder requires"):
-            Engine(method, reorder="slashburn")
-
-    def test_unknown_reorder_rejected(self, small_community):
-        with pytest.raises(ParameterError, match="unknown reorder"):
-            Engine(
-                create_method("cpi"), small_community, reorder="rcm"
-            )
-
-    def test_engine_graph_property_is_original(self, medium_community):
-        engine = Engine(
-            create_method("cpi"), medium_community, reorder="slashburn"
-        )
-        assert engine.graph is medium_community
-        assert engine.reordering is not None
-        assert engine.method.graph is engine.reordering.graph
 
 
 def _fork_child(conn, operator, operand):

@@ -264,7 +264,7 @@ class TestDeploymentExporters:
         self, small_community
     ):
         with Router(TPA(s_iteration=3, t_iteration=6), small_community,
-                    num_shards=4, reorder=None, supervise=False,
+                    num_shards=4, supervise=False,
                     obs_port=0) as router:
             stop = threading.Event()
 
@@ -298,7 +298,7 @@ class TestDeploymentExporters:
         # Batches wide enough that the online phase leaves the sparse
         # gather fast path and actually sweeps through the workers.
         with Router(TPA(s_iteration=6, t_iteration=12), small_community,
-                    num_shards=2, reorder=None, supervise=False) as router:
+                    num_shards=2, supervise=False) as router:
             for _ in range(2):
                 router.batch([QueryRequest(seed=s, k=5) for s in range(16)])
             families = obs_metrics.get_registry().families()
@@ -314,7 +314,7 @@ class TestDeploymentExporters:
         self, small_community
     ):
         with Router(TPA(s_iteration=6, t_iteration=12), small_community,
-                    num_shards=2, reorder=None, supervise=False,
+                    num_shards=2, supervise=False,
                     obs_port=0) as router:
             url = router.exporter.url("/health")
             status, _ = get(url)
@@ -344,7 +344,7 @@ class TestDeploymentExporters:
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "kill_mid_sweep@2:scope=shard1,gen=0")
         faults.reset_fault_plan()
         with Router(TPA(s_iteration=6, t_iteration=12), small_community,
-                    num_shards=2, reorder=None, supervise=False,
+                    num_shards=2, supervise=False,
                     obs_port=0) as router:
             metrics_url = router.exporter.url("/metrics")
             snapshot_url = router.exporter.url("/snapshot")
@@ -475,7 +475,7 @@ class TestProfiler:
         monkeypatch.setenv(obs_profile.PROFILE_HZ_ENV_VAR, "500")
         obs_profile.set_profiling(None)
         with Router(TPA(s_iteration=8, t_iteration=16), small_community,
-                    num_shards=2, reorder=None, supervise=False) as router:
+                    num_shards=2, supervise=False) as router:
             worker_pids = {
                 worker.pid for worker in router.engine.shards.workers()
             }

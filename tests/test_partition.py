@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.graph.partition import partition_graph, partition_order
+from repro.graph.partition import partition_graph
 
 
 class TestPartitionGraph:
@@ -112,23 +112,3 @@ class TestPartitionGraph:
             6, seed=5,
         )
         assert outputs[0] == ",".join(map(str, here.tolist()))
-
-
-class TestPartitionOrder:
-    def test_groups_are_contiguous(self, small_community):
-        labels = partition_graph(small_community, 8, seed=0)
-        permutation, starts = partition_order(labels)
-        ordered = labels[permutation]
-        # Each partition occupies one contiguous run.
-        assert (np.diff(ordered) >= 0).all()
-        assert starts[0] == 0
-        np.testing.assert_array_equal(
-            np.sort(permutation), np.arange(small_community.num_nodes)
-        )
-        # One start per non-empty label, at the run frontiers.
-        boundaries = np.flatnonzero(np.diff(ordered) != 0) + 1
-        np.testing.assert_array_equal(starts[1:], boundaries)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ParameterError):
-            partition_order(np.empty(0, dtype=np.int64))

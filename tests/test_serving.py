@@ -385,23 +385,6 @@ class TestServerEquivalence:
         stats = server.cache.stats()
         assert stats["hits"] > 0  # replicas pooled their hits
 
-    def test_equivalence_under_slashburn_reorder(self, small_community):
-        # SlashBurn is deterministic, so a serial reordered Engine and
-        # the reordered Server replicas compute bitwise-identical
-        # vectors (reordered-vs-plain is only allclose — summation
-        # order differs — and is covered in test_kernels).
-        requests = mixed_requests(small_community.num_nodes)
-        reference = Engine(
-            TPA(s_iteration=3, t_iteration=6), small_community,
-            reorder="slashburn",
-        ).batch(requests)
-        with Server(
-            TPA(s_iteration=3, t_iteration=6), small_community,
-            workers=2, max_batch=8, reorder="slashburn",
-        ) as server:
-            results = server.batch(requests, timeout=60.0)
-        assert_results_equivalent(reference, results)
-
 
 # -- Server: mechanics ---------------------------------------------------------
 

@@ -3,11 +3,10 @@
 The load-bearing guarantee mirrors the serving suite's: sharding must
 never change scores or rankings.  Router/ShardedEngine results are
 checked **bitwise** against a serial ``Engine.batch`` over the same
-requests, on every installed kernel backend, including under the
-SlashBurn reordering.  The rest covers the moving parts: plan packing,
-the shared-memory store lifecycle (no ``/dev/shm`` leaks), worker
-fault forwarding, the DiskGraph substrate, and the Router's
-Server-compatible front end.
+requests, on every installed kernel backend.  The rest covers the
+moving parts: plan packing, the shared-memory store lifecycle (no
+``/dev/shm`` leaks), worker fault forwarding, the DiskGraph substrate,
+and the Router's Server-compatible front end.
 """
 
 from __future__ import annotations
@@ -25,14 +24,11 @@ from repro.resilience.reaper import reap_orphan_segments
 from repro.engine import Engine, QueryRequest
 from repro.exceptions import ParameterError
 from repro.graph.diskgraph import DiskGraph
-from repro.graph.partition import partition_graph, partition_order
-from repro.graph.slashburn import slashburn
 from repro.sharding import (
     Router,
     ShardPlan,
     ShardedOperator,
     ShardStore,
-    partition_reordering,
 )
 
 
@@ -101,6 +97,33 @@ class TestShardPlan:
         assert sizes.sum() == 100
         assert sizes.min() >= 100 // 3 - 1
 
+    def test_uniform_boundaries_pinned(self):
+        # Every stripe of an equal-height plan, fixed: (20 000, 2) is
+        # the sharded-serve ladder plan.
+        expected = {
+            (1, 1): [0, 1],
+            (2, 2): [0, 1, 2],
+            (3, 2): [0, 2, 3],
+            (5, 3): [0, 2, 4, 5],
+            (7, 4): [0, 2, 4, 6, 7],
+            (10, 3): [0, 3, 7, 10],
+            (10, 10): [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+            (11, 4): [0, 3, 6, 8, 11],
+            (101, 7): [0, 14, 28, 43, 57, 72, 86, 101],
+            (1000, 3): [0, 333, 667, 1000],
+            (20000, 1): [0, 20000],
+            (20000, 2): [0, 10000, 20000],
+            (20000, 3): [0, 6667, 13333, 20000],
+            (20000, 4): [0, 5000, 10000, 15000, 20000],
+            (20000, 7): [0, 2857, 5714, 8571, 11428, 14285, 17143, 20000],
+            (200000, 2): [0, 100000, 200000],
+            (200000, 3): [0, 66667, 133333, 200000],
+        }
+        for (num_rows, num_shards), bounds in expected.items():
+            plan = ShardPlan.uniform(num_rows, num_shards)
+            assert plan.boundaries.dtype == np.int64
+            assert plan.boundaries.tolist() == bounds, (num_rows, num_shards)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             ShardPlan.uniform(10, 0)
@@ -110,37 +133,6 @@ class TestShardPlan:
             ShardPlan(boundaries=np.asarray([0, 5, 3, 10]))
         with pytest.raises(ParameterError):
             ShardPlan(boundaries=np.asarray([1, 10]))
-
-    def test_hub_band_pinned_to_shard_zero(self, small_community):
-        ordering = slashburn(small_community)
-        plan = ShardPlan.from_slashburn(ordering, 4)
-        assert plan.num_shards == 4
-        assert plan.num_hubs == ordering.num_hubs
-        begin, end = plan.shard_rows(0)
-        assert begin == 0 and end >= ordering.num_hubs
-
-    def test_spoke_cuts_on_block_frontiers(self, small_community):
-        ordering = slashburn(small_community)
-        plan = ShardPlan.from_slashburn(ordering, 3)
-        candidates = set(ordering.block_boundaries().tolist())
-        interior = plan.boundaries[1:-1]
-        # Every interior cut beyond the hub band sits on a block
-        # frontier when one was near enough to the even split point.
-        for cut in interior.tolist():
-            if cut in candidates:
-                break
-        else:  # pragma: no cover - diagnostic
-            pytest.fail(f"no cut on a frontier: {interior} vs {candidates}")
-
-    def test_partition_aligned_cuts(self, small_community):
-        labels = partition_graph(small_community, 8, seed=3)
-        _, starts = partition_order(labels)
-        plan = ShardPlan.from_block_starts(
-            small_community.num_nodes, 4, starts
-        )
-        assert plan.num_shards == 4
-        frontier = set(starts.tolist())
-        assert any(cut in frontier for cut in plan.boundaries[1:-1].tolist())
 
     def test_explicit_plan_num_shards_conflict(self, served_method):
         engine = Engine(served_method)
@@ -247,24 +239,6 @@ class TestShardedEngine:
             assert_results_equivalent(reference, sharded.batch(requests))
             names = sharded.shards._store.segment_names
         assert_no_segments(names)
-
-    def test_batch_bitwise_under_slashburn_reorder(
-        self, small_community, each_backend
-    ):
-        requests = mixed_requests(small_community.num_nodes)
-        serial = Engine(
-            TPA(s_iteration=4, t_iteration=8), small_community,
-            reorder="slashburn",
-        )
-        reference = serial.batch(requests)
-        engine = Engine(
-            TPA(s_iteration=4, t_iteration=8), small_community,
-            reorder="slashburn",
-        )
-        with engine.shard(num_shards=3) as sharded:
-            # The plan must have been cut on the reordering.
-            assert sharded.shards.plan.num_hubs == engine.reordering.num_hubs
-            assert_results_equivalent(reference, sharded.batch(requests))
 
     def test_serve_bitwise_matches_serial(self, served_method):
         seeds = np.arange(40) % 50
@@ -407,40 +381,6 @@ class TestRouter:
             names = router.engine.shards._store.segment_names
         assert_no_segments(names)
 
-    def test_bitwise_under_slashburn_reorder(self, small_community):
-        requests = mixed_requests(small_community.num_nodes)
-        serial = Engine(
-            TPA(s_iteration=4, t_iteration=8), small_community,
-            reorder="slashburn",
-        )
-        reference = serial.batch(requests)
-        with Router(
-            TPA(s_iteration=4, t_iteration=8), small_community,
-            num_shards=2, reorder="slashburn",
-        ) as router:
-            assert router.plan.num_hubs > 0
-            assert_results_equivalent(reference, router.batch(requests))
-
-    def test_partition_reorder_cuts_on_communities(self, small_community):
-        requests = [QueryRequest(seed=s, k=8) for s in range(20)]
-        # The same ordering the Router derives internally (4 shards ->
-        # 4 partitions, same explicit seed), so the serial reference
-        # serves in the identical node ordering.
-        ordering = partition_reordering(small_community, 4, seed=0)
-        serial = Engine(
-            TPA(s_iteration=4, t_iteration=8), small_community,
-            reorder=ordering,
-        )
-        reference = serial.batch(requests)
-        with Router(
-            TPA(s_iteration=4, t_iteration=8), small_community,
-            num_shards=4, reorder="partition", partition_seed=0,
-        ) as router:
-            frontier = set(ordering.block_starts.tolist())
-            interior = router.plan.boundaries[1:-1].tolist()
-            assert any(cut in frontier for cut in interior)
-            assert_results_equivalent(reference, router.batch(requests))
-
     def test_concurrent_submissions_match_serial(self, small_community):
         from concurrent.futures import wait
 
@@ -558,31 +498,3 @@ class TestCacheTokenShardComponent:
         finally:
             kernels.set_shard_annotation(previous)
         assert ":shard-none:" in kernels.cache_token()
-
-
-class TestReorderInstanceParameter:
-    def test_engine_accepts_locality_reordering(self, small_community):
-        ordering = partition_reordering(small_community, 4, seed=1)
-        engine = Engine(
-            TPA(s_iteration=4, t_iteration=8), small_community,
-            reorder=ordering,
-        )
-        plain = Engine(TPA(s_iteration=4, t_iteration=8), small_community)
-        result = engine.query(3, k=8)
-        reference = plain.query(3, k=8)
-        # A permutation changes accumulation order, so only near-equality
-        # holds across *different* orderings.
-        np.testing.assert_allclose(
-            np.sort(result.top_scores), np.sort(reference.top_scores),
-            atol=1e-9,
-        )
-
-    def test_engine_rejects_mismatched_reordering(
-        self, small_community, medium_community
-    ):
-        ordering = partition_reordering(medium_community, 4, seed=1)
-        with pytest.raises(ParameterError):
-            Engine(
-                TPA(s_iteration=4, t_iteration=8), small_community,
-                reorder=ordering,
-            )

@@ -7,8 +7,7 @@ Contracts asserted here:
 * ``select_top_k_many`` matches the looped ``select_top_k`` reference
   including ban masks and tie ordering;
 * the Engine's streamed top-k paths (``batch`` column blocks, chunked
-  ``serve``) return exactly what the materialized paths return, also
-  under a SlashBurn reordering.
+  ``serve``) return exactly what the materialized paths return.
 """
 
 import numpy as np
@@ -251,17 +250,3 @@ class TestEngineStreaming:
     def test_stream_block_validated(self, engines):
         with pytest.raises(ParameterError, match="stream_block"):
             engines(stream_block=0)
-
-    def test_reordered_engine_streams(self, medium_community):
-        engine = Engine(
-            create_method("tpa", s_iteration=4, t_iteration=8),
-            medium_community, reorder="slashburn", stream_block=6,
-        )
-        requests = [QueryRequest(seed=s, k=8) for s in range(20)]
-        streamed = engine.batch(requests)
-        reference = Engine(
-            create_method("tpa", s_iteration=4, t_iteration=8),
-            medium_community, reorder="slashburn", stream_block=10_000,
-        ).batch(requests)
-        for a, b in zip(streamed, reference):
-            np.testing.assert_array_equal(a.top_nodes, b.top_nodes)
